@@ -137,6 +137,10 @@ ThreadPool::workerLoop(unsigned worker)
             job = current;
         }
         runJob(*job, worker);
+        // The submitter checks `done` under mtx and then sleeps.
+        // Passing through mtx orders this notify after that sleep has
+        // begun (or before the check), so the wakeup cannot be lost.
+        { std::lock_guard<std::mutex> lk(mtx); }
         cvDone.notify_all();
     }
 }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <string_view>
 #include <thread>
 
 #include "common/logging.h"
@@ -29,16 +28,6 @@ runCell(const std::function<void(size_t)> &fn, size_t cell)
     } catch (...) {
         panic("unknown exception escaped a sweep cell");
     }
-}
-
-/** VCB_SWEEP_INNER=pool keeps nested dispatch fan-out even under a
- *  parallel sweep; anything else (including unset) applies the
- *  serial-inner rule the caller asked for. */
-bool
-innerPoolOverride()
-{
-    const char *env = std::getenv("VCB_SWEEP_INNER");
-    return env && std::string_view(env) == "pool";
 }
 
 } // namespace
@@ -80,8 +69,9 @@ runSweepPlan(size_t cellCount, const std::function<void(size_t)> &fn,
     const std::vector<sim::DeviceSpec> &devices =
         opts.devices.empty() ? sim::activeDeviceRegistry() : opts.devices;
 
-    const bool serial_inner =
-        opts.innerSerial && stats.jobs > 1 && !innerPoolOverride();
+    // Outer × inner fan-out would only timeshare cores: under a
+    // parallel sweep, dispatches inside cells run serially.
+    const bool serial_inner = stats.jobs > 1;
 
     // Dynamic claim in plan order: slot writes keep the merge
     // structural, so claim order never shows in the output.

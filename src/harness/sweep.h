@@ -43,8 +43,9 @@ struct SweepOptions
     /**
      * Worker sessions: 0 = resolve from VCB_REPORT_JOBS, falling back
      * to the hardware concurrency.  Workers are spawned even at
-     * jobs = 1 so the execution environment (private registry, serial
-     * inner dispatch) is identical at every job count.
+     * jobs = 1 so the execution environment (fresh thread, private
+     * registry) is identical at every job count.  With more than one
+     * worker, dispatches inside cells run serially.
      */
     unsigned jobs = 0;
 
@@ -54,14 +55,6 @@ struct SweepOptions
      * workers always run under a private copy either way.
      */
     std::vector<sim::DeviceSpec> devices;
-
-    /**
-     * Force nested dispatch parallelism serial inside cells (the
-     * VCB_THREADS=1 rule).  Defaults on whenever jobs > 1; the
-     * VCB_SWEEP_INNER=pool environment override keeps the inner
-     * thread-pool fan-out even under a parallel sweep.
-     */
-    bool innerSerial = true;
 };
 
 /** Wall/sim-time ledger of one executed plan. */

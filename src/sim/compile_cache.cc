@@ -82,11 +82,12 @@ deviceFingerprint(const DeviceSpec &dev)
 
 CompileCacheKey
 makeCompileCacheKey(const spirv::Module &m, const DeviceSpec &dev,
-                    Api api, const LowerOptions &opt)
+                    Api api)
 {
     CompileCacheKey key;
     key.moduleHash = hashModule(m);
     key.deviceFp = deviceFingerprint(dev);
+    const LowerOptions opt = compileLowerOptions();
     uint32_t cfg = static_cast<uint32_t>(api);
     cfg |= (opt.fuseCmpBranch ? 1u : 0u) << 2;
     cfg |= (opt.fuseConstAlu ? 1u : 0u) << 3;

@@ -17,8 +17,8 @@
  *  - the kernel source, as an FNV-1a hash of the module's canonical
  *    binary serialization (spirv::Module::serialize — name, local
  *    size, bindings, push/shared sizes and the full code stream);
- *  - the effective lowering configuration (LowerOptions bits plus the
- *    VCB_SUPEROPS runtime gate, which lowerKernel consults);
+ *  - the effective lowering configuration (compileLowerOptions() bits
+ *    plus the VCB_SUPEROPS runtime gate, which lowerKernel consults);
  *  - the device, as an FNV-1a hash of its canonical spec-file text
  *    (sim/device_file.h serializeDevice — every architectural and
  *    driver-profile field, so two near-identical DeviceSpecs can never
@@ -87,12 +87,11 @@ struct CompileCacheKey
     bool operator==(const CompileCacheKey &) const = default;
 };
 
-/** Key for one compileKernel invocation: `opt` must be the options
- *  lowerKernel will run with (compileKernel uses the defaults); the
- *  VCB_SUPEROPS runtime gate is folded in here. */
+/** Key for one compileKernel invocation; the lowering options it will
+ *  use (compileLowerOptions()) and the VCB_SUPEROPS runtime gate are
+ *  folded in here. */
 CompileCacheKey makeCompileCacheKey(const spirv::Module &m,
-                                    const DeviceSpec &dev, Api api,
-                                    const LowerOptions &opt = {});
+                                    const DeviceSpec &dev, Api api);
 
 /** Monotonic cache counters (snapshot). */
 struct CompileCacheStats

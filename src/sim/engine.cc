@@ -44,8 +44,16 @@ std::atomic<uint64_t> g_dispatchWallNs{0};
 thread_local uint64_t t_dispatchWallNs = 0;
 std::atomic<uint64_t>
     g_tierWorkgroups[static_cast<size_t>(ExecTier::Count)]{};
+thread_local DispatchRecorder *t_recorder = nullptr;
 
 } // namespace
+
+DispatchRecorder::DispatchRecorder() : outer(t_recorder)
+{
+    t_recorder = this;
+}
+
+DispatchRecorder::~DispatchRecorder() { t_recorder = outer; }
 
 uint64_t
 executedWorkgroupCount()
@@ -228,6 +236,9 @@ ExecutionEngine::dispatch(const DispatchContext &ctx)
         dev.dispatchLatencyNs + prof.dispatchSetupNs +
         derate * TimingModel::kernelExecNs(dev, k, stats,
                                            ctx.dramDerate);
+    if (t_recorder)
+        t_recorder->dispatches.push_back(
+            {k.module.name, result.stats, result.kernelNs});
     return result;
 }
 

@@ -19,6 +19,9 @@
 #ifndef VCB_SIM_ENGINE_H
 #define VCB_SIM_ENGINE_H
 
+#include <string>
+#include <vector>
+
 #include "sim/device.h"
 #include "sim/dispatch.h"
 #include "sim/kernel.h"
@@ -60,6 +63,37 @@ uint64_t dispatchWallNsThisThread();
  * even when some of its lane blocks bailed to the lane-major executor.
  */
 uint64_t tierWorkgroupCount(ExecTier t);
+
+/** One dispatch as ExecutionEngine::dispatch returned it (before a
+ *  front-end adds UVM paging charges to the stats). */
+struct RecordedDispatch
+{
+    std::string kernel;
+    DispatchStats stats;
+    double kernelNs = 0;
+};
+
+/**
+ * Test hook: while alive, every ExecutionEngine::dispatch on the
+ * constructing thread appends its kernel name, DispatchStats and
+ * kernelNs to `dispatches`, in issue order.  The vkm, ocl and cuda
+ * front-ends all dispatch on the thread that submits, so a recorder
+ * held around one suite::runWorkload call sees exactly that run.
+ * A nested recorder captures until it dies, then the outer resumes.
+ */
+class DispatchRecorder
+{
+  public:
+    DispatchRecorder();
+    ~DispatchRecorder();
+    DispatchRecorder(const DispatchRecorder &) = delete;
+    DispatchRecorder &operator=(const DispatchRecorder &) = delete;
+
+    std::vector<RecordedDispatch> dispatches;
+
+  private:
+    DispatchRecorder *outer;
+};
 
 /** Per-device dispatch executor. */
 class ExecutionEngine

@@ -258,44 +258,11 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
 }
 
 /**
- * The lane executor walks the micro-op stream by pointer; one handler
- * body per MOp, shared between two dispatch strategies:
- *
- *  - VCB_THREADED_DISPATCH=1: direct-threaded via GCC/Clang computed
- *    goto — each handler jumps straight to the next handler through a
- *    label table (one indirect-branch site per handler).
- *  - VCB_THREADED_DISPATCH=0: a classic switch-in-loop.
- *
- * Which wins depends on the host branch predictor; the default is
- * chosen by measurement (tools/vcb_perf) and can be overridden with
- * -DVCB_THREADED_DISPATCH=0/1.  On the reference machines the switch
- * form predicts better once the handler set grew past ~80 ops, so it
- * is the default.  NEXT falls through to the following micro-op; XFER
- * transfers control and charges the target's straight-line run cost
- * (see MicroKernel::costFrom).
+ * The lane executor walks the micro-op stream by pointer in a classic
+ * switch-in-loop, one handler body per MOp.  NEXT falls through to the
+ * following micro-op; XFER transfers control and charges the target's
+ * straight-line run cost (see MicroKernel::costFrom).
  */
-#ifndef VCB_THREADED_DISPATCH
-#define VCB_THREADED_DISPATCH 0
-#endif
-#if VCB_THREADED_DISPATCH && !defined(__GNUC__) && !defined(__clang__)
-#error "threaded dispatch requires computed goto (GCC/Clang)"
-#endif
-
-#if VCB_THREADED_DISPATCH
-#define VCB_OP(name) L_##name:
-#define NEXT                                                              \
-    do {                                                                  \
-        ++ip;                                                             \
-        goto *kJump[static_cast<size_t>(ip->op)];                         \
-    } while (0)
-#define XFER(target)                                                      \
-    do {                                                                  \
-        const uint32_t xfer_pc = (target);                                \
-        ip = ops + xfer_pc;                                               \
-        cycles += cost_from[xfer_pc];                                     \
-        goto *kJump[static_cast<size_t>(ip->op)];                         \
-    } while (0)
-#else
 #define VCB_OP(name) case MOp::name:
 #define NEXT break
 #define XFER(target)                                                      \
@@ -305,7 +272,6 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
         cycles += cost_from[xfer_pc];                                     \
         goto dispatch;                                                    \
     } while (0)
-#endif
 
 /** Lane register access: the register file is reg-major so the
  *  op-major executor reads each register as a contiguous lane vector;
@@ -329,40 +295,6 @@ Interpreter::runPhase(uint32_t lane_begin, uint32_t lane_end,
                       WorkgroupStats &ws, CoalesceSampler *sampler,
                       uint32_t &done_out, uint32_t &barrier_out)
 {
-#if VCB_THREADED_DISPATCH
-    // Must match the MOp enumeration order exactly.
-    static const void *const kJump[] = {
-        &&L_Const, &&L_Mov, &&L_LdBuiltin, &&L_LdPush,
-        &&L_IAdd, &&L_ISub, &&L_IMul, &&L_IDiv, &&L_IRem, &&L_IMin,
-        &&L_IMax, &&L_IAnd, &&L_IOr, &&L_IXor,
-        &&L_INot, &&L_INeg, &&L_IShl, &&L_IShrU, &&L_IShrS,
-        &&L_FAdd, &&L_FSub, &&L_FMul, &&L_FDiv, &&L_FMin, &&L_FMax,
-        &&L_FAbs, &&L_FNeg, &&L_FSqrt, &&L_FExp, &&L_FLog,
-        &&L_FFloor, &&L_FSin, &&L_FCos, &&L_FFma, &&L_FPow,
-        &&L_CvtSF, &&L_CvtFS,
-        &&L_IEq, &&L_INe, &&L_ILt, &&L_ILe, &&L_IGt, &&L_IGe, &&L_ULt,
-        &&L_UGe, &&L_FEq, &&L_FNe, &&L_FLt, &&L_FLe, &&L_FGt, &&L_FGe,
-        &&L_Select,
-        &&L_LdBuf, &&L_StBuf, &&L_LdShared, &&L_StShared,
-        &&L_AtomIAdd, &&L_AtomIOr, &&L_AtomIMin, &&L_AtomIMax,
-        &&L_Jmp, &&L_BrTrue, &&L_BrFalse,
-        &&L_CmpBrIEq, &&L_CmpBrINe, &&L_CmpBrILt, &&L_CmpBrILe,
-        &&L_CmpBrIGt, &&L_CmpBrIGe, &&L_CmpBrULt, &&L_CmpBrUGe,
-        &&L_CmpBrFEq, &&L_CmpBrFNe, &&L_CmpBrFLt, &&L_CmpBrFLe,
-        &&L_CmpBrFGt, &&L_CmpBrFGe,
-        &&L_ConstAlu, &&L_IAddLd, &&L_IAddSt, &&L_IMulAdd, &&L_IAddAdd,
-        &&L_IAddLdSh, &&L_IAddStSh, &&L_MulAddLdSh, &&L_MulAddStSh,
-        &&L_FMulFAdd, &&L_FMulFSub,
-        &&L_LdShFMul, &&L_LdShFSub, &&L_LdShFDiv,
-        &&L_FSubStSh, &&L_FDivStSh, &&L_IDivRem,
-        &&L_Super, &&L_SuperLoop,
-        &&L_Barrier, &&L_Ret,
-    };
-    static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
-                      static_cast<size_t>(MOp::Count),
-                  "jump table out of sync with MOp");
-#endif
-
     const CompiledKernel &k = *kernel;
     const MicroKernel &mk = *k.micro;
     const MicroOp *const ops = mk.ops.data();
@@ -425,13 +357,9 @@ new_lane:
         cycles = cost_from[start_pc];
     }
 
-#if VCB_THREADED_DISPATCH
-    goto *kJump[static_cast<size_t>(ip->op)];
-#else
 dispatch:
     for (;;) {
         switch (ip->op) {
-#endif
 
 VCB_OP(Const)
     R(ip->a) = ip->b;
@@ -963,14 +891,12 @@ VCB_OP(Ret)
     ++done;
     goto lane_done;
 
-#if !VCB_THREADED_DISPATCH
           case MOp::Count:
             panic("kernel '%s' @%u: invalid micro-op",
                   k.module.name.c_str(), pcOf());
         }
         ++ip;
     }
-#endif
 
 lane_done:
     if (++lane < lane_end)

@@ -115,7 +115,7 @@ compileKernelImpl(const spirv::Module &m, const DeviceSpec &dev, Api api,
     // Lower to the executable micro-op form (see microop.h).  Runs
     // after the site table is built: site slots are baked into the
     // micro-ops.
-    lowerKernel(*k);
+    lowerKernel(*k, compileLowerOptions());
 
     if (useCache)
         CompileCache::global().insert(cacheKey, *k);

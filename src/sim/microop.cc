@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 
 #include "common/logging.h"
 #include "sim/kernel.h"
@@ -1257,6 +1258,9 @@ std::atomic<uint8_t> g_forced_tier{static_cast<uint8_t>(ExecTier::Count) +
 std::atomic<uint32_t> g_block_w{0};
 /** Cached VCB_SUPEROPS state: -1 = not read yet, else 0/1. */
 std::atomic<int> g_superops{-1};
+/** The options compileKernel lowers with (setCompileLowerOptions). */
+std::mutex g_lower_mtx;
+LowerOptions g_lower;
 } // namespace
 
 ExecTier
@@ -1313,6 +1317,20 @@ setSuperopsEnabled(int enabled)
 {
     g_superops.store(enabled < 0 ? -1 : (enabled != 0),
                      std::memory_order_relaxed);
+}
+
+LowerOptions
+compileLowerOptions()
+{
+    std::lock_guard<std::mutex> lk(g_lower_mtx);
+    return g_lower;
+}
+
+void
+setCompileLowerOptions(const LowerOptions &opt)
+{
+    std::lock_guard<std::mutex> lk(g_lower_mtx);
+    g_lower = opt;
 }
 
 uint32_t

@@ -295,7 +295,8 @@ struct MicroKernel
     std::vector<SuperOp> supers;
 };
 
-/** Lowering knobs; defaults match compileKernel.  Tests disable fusion
+/** Lowering knobs; the defaults are what compileKernel lowers with
+ *  unless a test sets setCompileLowerOptions().  Tests disable fusion
  *  to assert fused/unfused equivalence. */
 struct LowerOptions
 {
@@ -347,6 +348,16 @@ bool superopsEnabled();
 /** Force superop formation on (1) / off (0), or re-read the
  *  environment (-1).  Test hook, like setExecutorOverride(). */
 void setSuperopsEnabled(int enabled);
+
+/** The options compileKernel lowers with (default-constructed unless
+ *  set).  The compile-cache key folds them in, so programs lowered
+ *  under different options never alias. */
+LowerOptions compileLowerOptions();
+
+/** Test hook: set the options compileKernel lowers with —
+ *  LowerOptions::noFusion() replays workloads unfused, {} restores the
+ *  default. */
+void setCompileLowerOptions(const LowerOptions &opt);
 
 /** One rendered micro-op with symbolic operands ("r3 = r1 + r2"). */
 std::string renderMicroOp(const MicroKernel &mk, uint32_t pc);

@@ -20,7 +20,6 @@
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
-#include "suite/validate.h"
 #include "suite/workloads.h"
 
 namespace vcb::suite {
@@ -32,10 +31,13 @@ constexpr float learningRate = 0.3f;
 
 struct Net
 {
-    uint32_t n = 0; ///< input units (multiple of 16 by construction)
+    uint32_t n = 0; ///< input units; the kernels guard a partial block
     std::vector<float> input;   // n
     std::vector<float> weights; // n * 16
     std::vector<float> w2;      // 16 (hidden -> output)
+
+    /** 16-input blocks of the layer-forward reduction. */
+    uint32_t blocks() const { return (uint32_t)ceilDiv(n, 16); }
 };
 
 Net
@@ -43,7 +45,7 @@ generateNet(uint32_t n, uint64_t seed)
 {
     Rng rng(seed);
     Net net;
-    net.n = static_cast<uint32_t>(alignUp(n, 16));
+    net.n = n;
     net.input.resize(net.n);
     net.weights.resize(uint64_t(net.n) * hid);
     net.w2.resize(hid);
@@ -71,9 +73,8 @@ sigmoid(float x)
 std::vector<float>
 hostDeltas(const Net &net, const std::vector<float> &partial)
 {
-    uint32_t blocks = net.n / 16;
     std::vector<float> hidden(hid, 0.0f);
-    for (uint32_t blk = 0; blk < blocks; ++blk)
+    for (uint32_t blk = 0; blk < net.blocks(); ++blk)
         for (uint32_t j = 0; j < hid; ++j)
             hidden[j] += partial[blk * hid + j];
     for (uint32_t j = 0; j < hid; ++j)
@@ -99,15 +100,19 @@ void
 reference(const Net &net, std::vector<float> *partial_out,
           std::vector<float> *weights_out)
 {
-    uint32_t blocks = net.n / 16;
+    const uint32_t blocks = net.blocks();
     std::vector<float> partial(uint64_t(blocks) * hid, 0.0f);
     for (uint32_t blk = 0; blk < blocks; ++blk) {
         for (uint32_t j = 0; j < hid; ++j) {
-            // Tree order: pairwise over 16 inputs.
+            // Tree order: pairwise over 16 inputs, past-the-end inputs
+            // contributing zero.
             float v[16];
-            for (uint32_t i = 0; i < 16; ++i)
-                v[i] = net.input[blk * 16 + i] *
-                       net.weights[uint64_t(blk * 16 + i) * hid + j];
+            for (uint32_t i = 0; i < 16; ++i) {
+                uint32_t gi = blk * 16 + i;
+                v[i] = gi < net.n ? net.input[gi] *
+                                        net.weights[uint64_t(gi) * hid + j]
+                                  : 0.0f;
+            }
             for (uint32_t s = 8; s >= 1; s /= 2)
                 for (uint32_t i = 0; i < s; ++i)
                     v[i] += v[i + s];
@@ -136,7 +141,7 @@ makeWorkload(Net n)
     auto in = std::make_shared<const Net>(std::move(n));
     const Net &net = *in;
 
-    uint32_t blocks = net.n / 16;
+    const uint32_t blocks = net.blocks();
     uint64_t in_bytes = uint64_t(net.n) * 4;
     uint64_t w_bytes = uint64_t(net.n) * hid * 4;
     uint64_t part_bytes = uint64_t(blocks) * hid * 4;

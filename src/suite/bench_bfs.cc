@@ -10,23 +10,74 @@
  * The per-level program (zero the stop flag, kernel1, barrier,
  * kernel2, read the stop flag) is identical every level, so the
  * preferred Vulkan strategy is record-once-resubmit; the stop flag
- * lives in a mapped host-visible buffer.  The CSR generator and CPU
- * reference are shared with the golden bfs scenario
- * (suite/workloads.h).
+ * lives in a mapped host-visible buffer.
  */
 
 #include "suite/benchmark.h"
 
+#include <deque>
 #include <memory>
 
 #include "common/mathutil.h"
+#include "common/rng.h"
 #include "kernels/kernels.h"
-#include "suite/validate.h"
 #include "suite/workloads.h"
 
 namespace vcb::suite {
 
 namespace {
+
+/** A CSR graph. */
+struct Graph
+{
+    uint32_t n = 0;
+    int32_t source = 0;
+    std::vector<int32_t> start;
+    std::vector<int32_t> degree;
+    std::vector<int32_t> edges;
+};
+
+/** Deterministic random CSR graph: node i gets 2 + Rng::nextBelow(9)
+ *  out-edges to uniformly random targets. */
+Graph
+generateGraph(uint32_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    Graph g;
+    g.n = n;
+    g.start.resize(n);
+    g.degree.resize(n);
+    for (uint32_t i = 0; i < n; ++i) {
+        g.start[i] = static_cast<int32_t>(g.edges.size());
+        uint32_t deg = 2 + static_cast<uint32_t>(rng.nextBelow(9));
+        g.degree[i] = static_cast<int32_t>(deg);
+        for (uint32_t e = 0; e < deg; ++e)
+            g.edges.push_back(static_cast<int32_t>(rng.nextBelow(n)));
+    }
+    return g;
+}
+
+/** Frontier BFS from g.source: per-node cost, -1 when unreachable. */
+std::vector<int32_t>
+referenceBfs(const Graph &g)
+{
+    std::vector<int32_t> cost(g.n, -1);
+    std::deque<int32_t> frontier;
+    cost[g.source] = 0;
+    frontier.push_back(g.source);
+    while (!frontier.empty()) {
+        int32_t u = frontier.front();
+        frontier.pop_front();
+        for (int32_t e = g.start[u]; e < g.start[u] + g.degree[u]; ++e) {
+            int32_t v = g.edges[e];
+            if (cost[v] < 0) {
+                cost[v] = cost[u] + 1;
+                frontier.push_back(v);
+            }
+        }
+    }
+    return cost;
+}
 
 enum BufferIx : size_t
 {
@@ -51,15 +102,21 @@ makeWorkload(Graph graph)
     w.name = "bfs";
     w.kernels = {kernels::buildBfsKernel1(), kernels::buildBfsKernel2()};
 
+    // The level-synchronous kernels' working state before the first
+    // level: only the source is in the frontier, visited, at cost 0.
+    std::vector<int32_t> mask(g.n, 0), umask(g.n, 0), visited(g.n, 0),
+        cost(g.n, -1);
+    mask[g.source] = visited[g.source] = 1;
+    cost[g.source] = 0;
+
     uint64_t node_bytes = uint64_t(g.n) * 4;
-    BfsHostState st(g);
     w.buffers = {{node_bytes, wordsOf(g.start)},
                  {node_bytes, wordsOf(g.degree)},
                  {g.edges.size() * 4, wordsOf(g.edges)},
-                 {node_bytes, wordsOf(st.mask)},
-                 {node_bytes, wordsOf(st.umask)},
-                 {node_bytes, wordsOf(st.visited)},
-                 {node_bytes, wordsOf(st.cost)},
+                 {node_bytes, wordsOf(mask)},
+                 {node_bytes, wordsOf(umask)},
+                 {node_bytes, wordsOf(visited)},
+                 {node_bytes, wordsOf(cost)},
                  {4, {}, /*hostVisible=*/true}};
     w.host = {{0u}, {0u}, std::vector<uint32_t>(g.n)};
 
@@ -116,8 +173,8 @@ class BfsBenchmark : public Benchmark
     Workload workload(const SizeConfig &cfg) const override
     {
         return makeWorkload(
-            generateBfsGraph(static_cast<uint32_t>(cfg.params[0]),
-                             workloadSeed(name(), cfg), 2, 9));
+            generateGraph(static_cast<uint32_t>(cfg.params[0]),
+                          workloadSeed(name(), cfg)));
     }
 };
 

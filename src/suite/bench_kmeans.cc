@@ -31,7 +31,6 @@
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
-#include "suite/validate.h"
 #include "suite/workloads.h"
 
 namespace vcb::suite {
@@ -136,20 +135,29 @@ transposed(const Points &p)
     return soa;
 }
 
-/** Full CPU reference: returns the final membership. */
-std::vector<int32_t>
+/** Full CPU reference: the final membership and every iteration's
+ *  changed-membership count. */
+struct Reference
+{
+    std::vector<int32_t> mem;
+    std::vector<int32_t> deltas;
+};
+
+Reference
 referenceKmeans(const Points &p)
 {
     auto soa = transposed(p);
     auto cent = initialCentroids(p);
-    std::vector<int32_t> mem(p.n, -1);
+    Reference ref;
+    ref.mem.assign(p.n, -1);
     for (uint32_t it = 0; it < kMaxIters; ++it) {
-        int32_t delta = assignOnCpu(p, soa, cent, mem);
-        updateCentroids(p, mem, cent);
+        int32_t delta = assignOnCpu(p, soa, cent, ref.mem);
+        ref.deltas.push_back(delta);
+        updateCentroids(p, ref.mem, cent);
         if (delta == 0)
             break;
     }
-    return mem;
+    return ref;
 }
 
 /** Independent point slices; each gets its own assignment dispatch. */
@@ -163,9 +171,9 @@ constexpr size_t B_SOA(size_t c) { return 2 + 4 * c; }
 constexpr size_t B_MEM(size_t c) { return 3 + 4 * c; }
 constexpr size_t B_DELTA(size_t c) { return 4 + 4 * c; }
 
-// Host layout: zero word, centroids, combined delta, then per chunk c
-// {delta, mem} at 3 + 2c / 4 + 2c.
-enum HostIx : size_t { H_ZERO, H_CENT, H_DELTA };
+// Host layout: zero word, centroids, the combined delta of every
+// iteration so far, then per chunk c {delta, mem} at 3 + 2c / 4 + 2c.
+enum HostIx : size_t { H_ZERO, H_CENT, H_DELTAS };
 constexpr size_t H_CDELTA(size_t c) { return 3 + 2 * c; }
 constexpr size_t H_MEM(size_t c) { return 4 + 2 * c; }
 
@@ -181,7 +189,7 @@ makeWorkload(Points pts)
     w.kernels = {kernels::buildKmeansSwap(), kernels::buildKmeansAssign()};
     w.dag = true;
     w.buffers = {{cent_bytes, {}}};
-    w.host = {{0u}, wordsOf(initialCentroids(p)), {0u}};
+    w.host = {{0u}, wordsOf(initialCentroids(p)), {}};
 
     std::vector<size_t> bounds(kChunks + 1);
     for (size_t c = 0; c <= kChunks; ++c)
@@ -244,7 +252,7 @@ makeWorkload(Points pts)
                 std::vector<int32_t> part = intsOf(h[H_MEM(c)]);
                 mem.insert(mem.end(), part.begin(), part.end());
             }
-            h[H_DELTA][0] = static_cast<uint32_t>(delta);
+            h[H_DELTAS].push_back(static_cast<uint32_t>(delta));
             std::vector<float> cent = floatsOf(h[H_CENT]);
             updateCentroids(*in, mem, cent);
             h[H_CENT] = wordsOf(cent);
@@ -252,7 +260,7 @@ makeWorkload(Points pts)
         readbacks));
     w.iterations = kMaxIters;
     w.converged = [](const HostArrays &h) {
-        return static_cast<int32_t>(h[H_DELTA][0]) == 0;
+        return h[H_DELTAS].back() == 0;
     };
     w.preferred = SubmitStrategy::RecordOnce;
     w.validate = [in](const HostArrays &h) {
@@ -261,7 +269,11 @@ makeWorkload(Points pts)
             std::vector<int32_t> part = intsOf(h[H_MEM(c)]);
             mem.insert(mem.end(), part.begin(), part.end());
         }
-        return compareInts(mem, referenceKmeans(*in));
+        Reference ref = referenceKmeans(*in);
+        std::string err = compareInts(intsOf(h[H_DELTAS]), ref.deltas);
+        if (!err.empty())
+            return "per-iteration deltas: " + err;
+        return compareInts(mem, ref.mem);
     };
     return w;
 }

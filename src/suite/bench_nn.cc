@@ -22,7 +22,6 @@
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
-#include "suite/validate.h"
 #include "suite/workloads.h"
 
 namespace vcb::suite {

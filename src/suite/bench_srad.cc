@@ -24,7 +24,6 @@
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
-#include "suite/validate.h"
 #include "suite/workloads.h"
 
 namespace vcb::suite {
@@ -71,13 +70,15 @@ foldQ0sqr(const std::vector<float> &psum, const std::vector<float> &psum2,
     return var / m2;
 }
 
-/** Mirror of srad_reduce's tree (per 256-lane block), folded through
- *  foldQ0sqr exactly as the runners fold the device partials. */
-float
-q0sqrOf(const std::vector<float> &j, uint32_t n)
+/** Mirror of srad_reduce's tree: per 256-lane block, the partial sums
+ *  of j and j^2 the device writes. */
+void
+reducePartials(const std::vector<float> &j, uint32_t n,
+               std::vector<float> &psum, std::vector<float> &psum2)
 {
     uint32_t blocks = (uint32_t)ceilDiv(n, 256);
-    std::vector<float> psum(blocks), psum2(blocks);
+    psum.resize(blocks);
+    psum2.resize(blocks);
     for (uint32_t blk = 0; blk < blocks; ++blk) {
         float p[256], p2[256];
         for (uint32_t i = 0; i < 256; ++i) {
@@ -95,21 +96,28 @@ q0sqrOf(const std::vector<float> &j, uint32_t n)
         psum[blk] = p[0];
         psum2[blk] = p2[0];
     }
-    return foldQ0sqr(psum, psum2, n);
 }
 
 /** From-scratch CPU reference mirroring the kernels' operation order
- *  (named temporaries keep mul+add pairs uncontracted). */
-std::vector<float>
+ *  (named temporaries keep mul+add pairs uncontracted): the final image
+ *  and the last iteration's reduction partials. */
+struct Reference
+{
+    std::vector<float> j, psum, psum2;
+};
+
+Reference
 referenceSrad(const Image &im)
 {
     const uint32_t g = im.g, n = g * g;
+    Reference ref;
     std::vector<float> j = im.j, c(n), dn(n), ds(n), dw(n), de(n);
     auto clampi = [&](int32_t v) {
         return std::min(std::max(v, 0), (int32_t)g - 1);
     };
     for (uint32_t it = 0; it < im.iters; ++it) {
-        float q0 = q0sqrOf(j, n);
+        reducePartials(j, n, ref.psum, ref.psum2);
+        float q0 = foldQ0sqr(ref.psum, ref.psum2, n);
         for (int32_t r = 0; r < (int32_t)g; ++r) {
             for (int32_t col = 0; col < (int32_t)g; ++col) {
                 size_t idx = size_t(r) * g + col;
@@ -165,7 +173,8 @@ referenceSrad(const Image &im)
             }
         }
     }
-    return j;
+    ref.j = std::move(j);
+    return ref;
 }
 
 enum BufferIx : size_t
@@ -232,7 +241,13 @@ makeWorkload(Image image)
     w.epilogue = {readbackStep(B_J, H_J)};
     w.preferred = SubmitStrategy::ReRecord;
     w.validate = [in](const HostArrays &h) {
-        return compareFloats(floatsOf(h[H_J]), referenceSrad(*in));
+        Reference ref = referenceSrad(*in);
+        std::string err = compareFloats(floatsOf(h[H_PSUM]), ref.psum);
+        if (err.empty())
+            err = compareFloats(floatsOf(h[H_PSUM2]), ref.psum2);
+        if (err.empty())
+            err = compareFloats(floatsOf(h[H_J]), ref.j);
+        return err;
     };
     return w;
 }

@@ -17,10 +17,10 @@
 
 #include <memory>
 
+#include "common/logging.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
-#include "suite/validate.h"
 #include "suite/workloads.h"
 
 namespace vcb::suite {
@@ -102,32 +102,44 @@ applyCandidate(const Stream &st, uint32_t x,
     return true;
 }
 
-/** From-scratch CPU reference: final per-point assignment cost. */
-std::vector<float>
+/** From-scratch CPU reference: every round's per-point savings and
+ *  switch flags, and the final per-point assignment cost. */
+struct Reference
+{
+    std::vector<std::vector<float>> lower;
+    std::vector<std::vector<int32_t>> sw;
+    std::vector<float> cost;
+};
+
+Reference
 referenceStreamcluster(const Stream &st)
 {
-    auto cost = initialCost(st);
-    std::vector<float> lower(st.n);
-    std::vector<int32_t> sw(st.n);
+    Reference ref;
+    ref.cost = initialCost(st);
     for (uint32_t r = 0; r < st.candidates; ++r) {
         uint32_t x = candidateIndex(st, r);
+        std::vector<float> lower(st.n, 0.0f);
+        std::vector<int32_t> sw(st.n, 0);
         for (uint32_t i = 0; i < st.n; ++i) {
             float cost_new = st.weight[i] * distTo(st, i, x);
-            if (cost_new < cost[i]) {
-                lower[i] = cost[i] - cost_new;
+            if (cost_new < ref.cost[i]) {
+                lower[i] = ref.cost[i] - cost_new;
                 sw[i] = 1;
-            } else {
-                lower[i] = 0.0f;
-                sw[i] = 0;
             }
         }
-        applyCandidate(st, x, lower, sw, cost);
+        applyCandidate(st, x, lower, sw, ref.cost);
+        ref.lower.push_back(std::move(lower));
+        ref.sw.push_back(std::move(sw));
     }
-    return cost;
+    return ref;
 }
 
 enum BufferIx : size_t { B_SOA, B_W, B_COST, B_LOWER, B_SW };
-enum HostIx : size_t { H_LOWER, H_SW, H_COST, H_APPLIED };
+// Host layout: cost, applied flag, then round r's {lower, switch}
+// readbacks at 2 + 2r / 3 + 2r.
+enum HostIx : size_t { H_COST, H_APPLIED };
+constexpr size_t H_LOWER(uint32_t r) { return 2 + 2 * size_t(r); }
+constexpr size_t H_SW(uint32_t r) { return 3 + 2 * size_t(r); }
 
 Workload
 makeWorkload(Stream stream)
@@ -145,8 +157,13 @@ makeWorkload(Stream stream)
                  {n_bytes, wordsOf(initialCost(st))},
                  {n_bytes, {}},
                  {n_bytes, {}}};
-    w.host = {std::vector<uint32_t>(st.n), std::vector<uint32_t>(st.n),
-              wordsOf(initialCost(st)), {0u}};
+    // Each round reads back into its own pair of host arrays, so the
+    // final host state keeps every round's device answer.
+    w.host = {wordsOf(initialCost(st)), {0u}};
+    for (uint32_t r = 0; r < st.candidates; ++r) {
+        w.host.push_back(std::vector<uint32_t>(st.n));
+        w.host.push_back(std::vector<uint32_t>(st.n));
+    }
 
     const uint32_t groups = (uint32_t)ceilDiv(st.n, 256);
     w.bodyFor = [in, groups](uint32_t r) {
@@ -159,13 +176,13 @@ makeWorkload(Stream stream)
                           {2, B_COST},
                           {3, B_LOWER},
                           {4, B_SW}}),
-            readbackStep(B_LOWER, H_LOWER),
-            readbackStep(B_SW, H_SW),
-            hostStep([in, x](HostArrays &h) {
+            readbackStep(B_LOWER, H_LOWER(r)),
+            readbackStep(B_SW, H_SW(r)),
+            hostStep([in, x, r](HostArrays &h) {
                 std::vector<float> cost = floatsOf(h[H_COST]);
                 bool applied =
-                    applyCandidate(*in, x, floatsOf(h[H_LOWER]),
-                                   intsOf(h[H_SW]), cost);
+                    applyCandidate(*in, x, floatsOf(h[H_LOWER(r)]),
+                                   intsOf(h[H_SW(r)]), cost);
                 h[H_COST] = wordsOf(cost);
                 h[H_APPLIED][0] = applied ? 1 : 0;
             }),
@@ -175,8 +192,16 @@ makeWorkload(Stream stream)
     w.iterations = st.candidates;
     w.preferred = SubmitStrategy::ReRecord;
     w.validate = [in](const HostArrays &h) {
-        return compareFloats(floatsOf(h[H_COST]),
-                             referenceStreamcluster(*in));
+        Reference ref = referenceStreamcluster(*in);
+        for (uint32_t r = 0; r < in->candidates; ++r) {
+            std::string err =
+                compareFloats(floatsOf(h[H_LOWER(r)]), ref.lower[r]);
+            if (err.empty())
+                err = compareInts(intsOf(h[H_SW(r)]), ref.sw[r]);
+            if (!err.empty())
+                return strprintf("round %u: %s", r, err.c_str());
+        }
+        return compareFloats(floatsOf(h[H_COST]), ref.cost);
     };
     return w;
 }

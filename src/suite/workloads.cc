@@ -1,10 +1,10 @@
 #include "suite/workloads.h"
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
-#include <deque>
 
-#include "common/rng.h"
+#include "common/logging.h"
 
 namespace vcb::suite {
 
@@ -44,53 +44,44 @@ intsOf(const std::vector<uint32_t> &w)
     return v;
 }
 
-Graph
-generateBfsGraph(uint32_t n, uint64_t seed, uint32_t min_degree,
-                 uint32_t degree_spread)
+std::string
+compareFloats(const std::vector<float> &got,
+              const std::vector<float> &expect, double rel_tol,
+              double abs_tol)
 {
-    Rng rng(seed);
-    Graph g;
-    g.n = n;
-    g.start.resize(n);
-    g.degree.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        g.start[i] = static_cast<int32_t>(g.edges.size());
-        uint32_t deg =
-            min_degree + static_cast<uint32_t>(rng.nextBelow(degree_spread));
-        g.degree[i] = static_cast<int32_t>(deg);
-        for (uint32_t e = 0; e < deg; ++e)
-            g.edges.push_back(static_cast<int32_t>(rng.nextBelow(n)));
+    if (got.size() != expect.size())
+        return strprintf("size mismatch: got %zu, expected %zu",
+                         got.size(), expect.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        double g = got[i], e = expect[i];
+        if (std::isnan(g) != std::isnan(e))
+            return strprintf("[%zu]: got %g, expected %g (NaN mismatch)",
+                             i, g, e);
+        if (std::isnan(g))
+            continue;
+        double err = std::abs(g - e);
+        double bound = abs_tol + rel_tol * std::abs(e);
+        if (err > bound)
+            return strprintf("[%zu]: got %.7g, expected %.7g (err %.3g "
+                             "> bound %.3g)",
+                             i, g, e, err, bound);
     }
-    return g;
+    return "";
 }
 
-std::vector<int32_t>
-referenceBfs(const Graph &g)
+std::string
+compareInts(const std::vector<int32_t> &got,
+            const std::vector<int32_t> &expect)
 {
-    std::vector<int32_t> cost(g.n, -1);
-    std::deque<int32_t> frontier;
-    cost[g.source] = 0;
-    frontier.push_back(g.source);
-    while (!frontier.empty()) {
-        int32_t u = frontier.front();
-        frontier.pop_front();
-        for (int32_t e = g.start[u]; e < g.start[u] + g.degree[u]; ++e) {
-            int32_t v = g.edges[e];
-            if (cost[v] < 0) {
-                cost[v] = cost[u] + 1;
-                frontier.push_back(v);
-            }
-        }
+    if (got.size() != expect.size())
+        return strprintf("size mismatch: got %zu, expected %zu",
+                         got.size(), expect.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        if (got[i] != expect[i])
+            return strprintf("[%zu]: got %d, expected %d", i, got[i],
+                             expect[i]);
     }
-    return cost;
-}
-
-BfsHostState::BfsHostState(const Graph &g)
-    : mask(g.n, 0), umask(g.n, 0), visited(g.n, 0), cost(g.n, -1)
-{
-    mask[g.source] = 1;
-    visited[g.source] = 1;
-    cost[g.source] = 0;
+    return "";
 }
 
 } // namespace vcb::suite

@@ -1,28 +1,20 @@
 /**
  * @file
- * Workload-building blocks shared between the bench drivers
- * (src/suite/bench_*.cc) and the golden-reference scenarios
- * (src/suite/validate.cc), so the two cannot drift apart:
- *
- *  - word <-> float/int conversion helpers (buffers and host arrays
- *    are 32-bit word vectors everywhere);
- *  - input generators and CPU references that both harnesses consume
- *    (the bfs CSR graph is the canonical case: the bench driver and
- *    the golden scenario build the same graph shape from the same RNG
- *    call sequence and validate against the same frontier BFS).
+ * Helpers shared by the bench drivers (src/suite/bench_*.cc): word <->
+ * float/int conversion (buffers and host arrays are 32-bit word
+ * vectors everywhere) and the comparisons every CPU-reference
+ * validation reports through (the paper validates every benchmark
+ * output against a known-good result, Sec. IV).
  */
 
 #ifndef VCB_SUITE_WORKLOADS_H
 #define VCB_SUITE_WORKLOADS_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace vcb::suite {
-
-// ---------------------------------------------------------------------------
-// Word conversions
-// ---------------------------------------------------------------------------
 
 /** Reinterpret floats as their 32-bit word patterns. */
 std::vector<uint32_t> wordsOf(const std::vector<float> &v);
@@ -33,40 +25,19 @@ std::vector<float> floatsOf(const std::vector<uint32_t> &w);
 /** Inverse of wordsOf(int32). */
 std::vector<int32_t> intsOf(const std::vector<uint32_t> &w);
 
-// ---------------------------------------------------------------------------
-// bfs: CSR graph, deterministic generator, CPU reference
-// ---------------------------------------------------------------------------
-
-/** A CSR graph for the bfs family. */
-struct Graph
-{
-    uint32_t n = 0;
-    int32_t source = 0;
-    std::vector<int32_t> start;
-    std::vector<int32_t> degree;
-    std::vector<int32_t> edges;
-};
-
 /**
- * Deterministic random CSR graph: node i gets
- * `min_degree + Rng::nextBelow(degree_spread)` out-edges to uniformly
- * random targets.  The bench driver uses (2, 9); the golden scenario
- * a smaller (1, 4) at its fixed seed — both through this one builder.
+ * Element-wise float comparison with relative+absolute tolerance.
+ * @return empty string on success, else a description of the first
+ *         mismatch.
  */
-Graph generateBfsGraph(uint32_t n, uint64_t seed, uint32_t min_degree,
-                       uint32_t degree_spread);
+std::string compareFloats(const std::vector<float> &got,
+                          const std::vector<float> &expect,
+                          double rel_tol = 1e-4,
+                          double abs_tol = 1e-5);
 
-/** Frontier BFS from g.source: per-node cost, -1 when unreachable. */
-std::vector<int32_t> referenceBfs(const Graph &g);
-
-/** The level-synchronous kernels' host-side working state (masks and
- *  costs as uploaded before the first level). */
-struct BfsHostState
-{
-    std::vector<int32_t> mask, umask, visited, cost;
-
-    explicit BfsHostState(const Graph &g);
-};
+/** Exact element-wise integer comparison. */
+std::string compareInts(const std::vector<int32_t> &got,
+                        const std::vector<int32_t> &expect);
 
 } // namespace vcb::suite
 

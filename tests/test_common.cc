@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -179,6 +183,47 @@ TEST(ThreadPool, ReusableAcrossCalls)
         pool.parallelFor(100, [&](uint64_t i) { sum.fetch_add(i); });
         EXPECT_EQ(sum.load(), 4950u);
     }
+}
+
+TEST(ThreadPool, BackToBackRangesNeverLoseTheCompletionWakeup)
+{
+    // A completion notify that lands between the submitter's done
+    // check and its sleep must not be lost.  Back-to-back ranges just
+    // above kSerialGrain (so each one fans out) hit that window within
+    // a few thousand calls when it is open; the watchdog turns the
+    // resulting hang into a failure instead of a stuck test.
+    ThreadPool pool(3);
+    std::atomic<uint64_t> calls{0};
+    std::atomic<bool> finished{false};
+    std::thread watchdog([&] {
+        uint64_t seen = 0;
+        auto last_progress = std::chrono::steady_clock::now();
+        while (!finished.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            const auto now = std::chrono::steady_clock::now();
+            if (calls.load() != seen) {
+                seen = calls.load();
+                last_progress = now;
+            } else if (now - last_progress > std::chrono::seconds(5)) {
+                std::fprintf(stderr,
+                             "ThreadPool stalled after %llu "
+                             "parallelForRange calls\n",
+                             (unsigned long long)seen);
+                std::_Exit(1);
+            }
+        }
+    });
+    for (uint64_t c = 0; c < 100000; ++c) {
+        const uint64_t count = ThreadPool::kSerialGrain + 1 + c % 64;
+        std::atomic<uint64_t> covered{0};
+        pool.parallelForRange(count, [&](uint64_t b, uint64_t e, unsigned) {
+            covered.fetch_add(e - b);
+        });
+        EXPECT_EQ(covered.load(), count);
+        calls.fetch_add(1);
+    }
+    finished = true;
+    watchdog.join();
 }
 
 } // namespace

@@ -1,7 +1,7 @@
-/** @file Golden-reference validation: every kernel in src/kernels/
- *  runs on deterministic seeded inputs through each simulated API's
- *  driver-compile + execution path, and the outputs must match a
- *  from-scratch CPU reference and agree across APIs (the paper's
+/** @file Known-good-output validation: every registry benchmark (at its
+ *  reduced size) and both micro kernels replay through each simulated
+ *  API's driver-compile + execution path, and the outputs must match
+ *  the workload's CPU reference and agree across APIs (the paper's
  *  Section-IV correctness methodology as executable tests). */
 
 #include <gtest/gtest.h>
@@ -9,9 +9,7 @@
 #include <set>
 #include <string>
 
-#include "kernels/kernels.h"
-#include "spirv/module.h"
-#include "suite/validate.h"
+#include "replay.h"
 
 namespace vcb::suite {
 namespace {
@@ -19,70 +17,52 @@ namespace {
 const sim::Api allApis[] = {sim::Api::Vulkan, sim::Api::OpenCl,
                             sim::Api::Cuda};
 
-class GoldenReference
-    : public ::testing::TestWithParam<const GoldenScenario *>
+class GoldenReference : public ::testing::TestWithParam<std::string>
 {
 };
 
-/** Desktop drivers reject nothing: every scenario must execute and
+/** Desktop drivers reject nothing: every workload must execute and
  *  validate under every API the device exposes. */
 TEST_P(GoldenReference, ValidatesOnDesktopDevices)
 {
-    const GoldenScenario &s = *GetParam();
+    Workload w = replayWorkload(GetParam());
     for (const sim::DeviceSpec *dev :
          {&sim::gtx1050ti(), &sim::rx560()}) {
         for (sim::Api api : allApis) {
             if (!dev->profile(api).available)
                 continue;
-            GoldenOutcome out = runGoldenScenario(s, *dev, api);
-            ASSERT_TRUE(out.ran)
-                << s.name << " on " << dev->name << "/"
-                << sim::apiName(api) << ": " << out.skipReason;
-            EXPECT_EQ(out.error, "")
-                << s.name << " on " << dev->name << "/"
-                << sim::apiName(api);
+            RunResult r = runWorkload(w, *dev, api);
+            ASSERT_TRUE(r.ok) << w.name << " on " << dev->name << "/"
+                              << sim::apiName(api) << ": "
+                              << r.skipReason;
+            EXPECT_TRUE(r.validated)
+                << w.name << " on " << dev->name << "/"
+                << sim::apiName(api) << ": " << r.validationError;
         }
     }
 }
 
-/** The three programming models must produce matching results for the
- *  same seeded workload (cross-API comparability, paper Sec. IV). */
+/** The three programming models must produce bit-identical results
+ *  for the same seeded workload (cross-API comparability, paper
+ *  Sec. IV). */
 TEST_P(GoldenReference, ApisAgreeOnGtx1050Ti)
 {
-    const GoldenScenario &s = *GetParam();
+    Workload w = replayWorkload(GetParam());
     const sim::DeviceSpec &dev = sim::gtx1050ti();
 
-    GoldenOutcome baseline =
-        runGoldenScenario(s, dev, sim::Api::OpenCl);
-    ASSERT_TRUE(baseline.ran) << baseline.skipReason;
+    HostArrays baseline;
+    RunResult base = runWorkload(w, dev, sim::Api::OpenCl, {}, &baseline);
+    ASSERT_TRUE(base.ok) << base.skipReason;
 
     for (sim::Api api : {sim::Api::Vulkan, sim::Api::Cuda}) {
-        GoldenOutcome out = runGoldenScenario(s, dev, api);
-        ASSERT_TRUE(out.ran) << out.skipReason;
-        ASSERT_EQ(out.checkedBuffers.size(),
-                  baseline.checkedBuffers.size());
-        for (size_t c = 0; c < s.checks.size(); ++c) {
-            const GoldenCheck &chk = s.checks[c];
-            std::string err;
-            if (chk.elem == spirv::ElemType::F32) {
-                std::vector<float> got(out.checkedBuffers[c].size()),
-                    base(baseline.checkedBuffers[c].size());
-                for (size_t i = 0; i < got.size(); ++i)
-                    got[i] = std::bit_cast<float>(
-                        out.checkedBuffers[c][i]);
-                for (size_t i = 0; i < base.size(); ++i)
-                    base[i] = std::bit_cast<float>(
-                        baseline.checkedBuffers[c][i]);
-                err = compareFloats(got, base, chk.relTol, chk.absTol);
-            } else {
-                err = out.checkedBuffers[c] == baseline.checkedBuffers[c]
-                          ? ""
-                          : "integer buffers differ";
-            }
-            EXPECT_EQ(err, "")
-                << s.name << " check " << c << ": "
+        HostArrays host;
+        RunResult r = runWorkload(w, dev, api, {}, &host);
+        ASSERT_TRUE(r.ok) << r.skipReason;
+        ASSERT_EQ(host.size(), baseline.size());
+        for (size_t a = 0; a < host.size(); ++a)
+            EXPECT_TRUE(host[a] == baseline[a])
+                << w.name << " host array " << a << ": "
                 << sim::apiName(api) << " vs OpenCL";
-        }
     }
 }
 
@@ -91,49 +71,57 @@ TEST_P(GoldenReference, ApisAgreeOnGtx1050Ti)
  *  must be attributable to the device's declared driver profile. */
 TEST_P(GoldenReference, MobileSkipsMatchDriverProfiles)
 {
-    const GoldenScenario &s = *GetParam();
+    Workload w = replayWorkload(GetParam());
     for (const sim::DeviceSpec *dev :
          {&sim::adreno506(), &sim::powervrG6430()}) {
         for (sim::Api api : allApis) {
             if (!dev->profile(api).available)
                 continue;
-            GoldenOutcome out = runGoldenScenario(s, *dev, api);
-            if (out.ran) {
-                EXPECT_EQ(out.error, "")
-                    << s.name << " on " << dev->name << "/"
-                    << sim::apiName(api);
+            RunResult r = runWorkload(w, *dev, api);
+            if (r.ok) {
+                EXPECT_TRUE(r.validated)
+                    << w.name << " on " << dev->name << "/"
+                    << sim::apiName(api) << ": " << r.validationError;
                 continue;
             }
             bool declared = false;
-            for (const auto &m : s.modules)
+            for (const auto &m : w.kernels)
                 declared |= dev->profile(api).kernelBroken(m.name);
             EXPECT_TRUE(declared)
-                << s.name << " skipped on " << dev->name << "/"
+                << w.name << " skipped on " << dev->name << "/"
                 << sim::apiName(api)
-                << " without a profile-declared reason: "
-                << out.skipReason;
+                << " without a profile-declared reason: " << r.skipReason;
         }
     }
 }
 
-std::vector<const GoldenScenario *>
-scenarioPtrs()
+/** Micro-op fusion must be observably invisible on every kernel shape
+ *  in the suite: replaying with lowering fusion disabled must give
+ *  bit-identical host arrays, DispatchStats and kernelNs (not merely
+ *  within tolerance). */
+TEST_P(GoldenReference, FusionIsBitInvisible)
 {
-    std::vector<const GoldenScenario *> ptrs;
-    for (const auto &s : goldenScenarios())
-        ptrs.push_back(&s);
-    return ptrs;
+    Workload w = replayWorkload(GetParam());
+    const sim::DeviceSpec &dev = sim::gtx1050ti();
+    KnobGuard guard;
+    for (sim::Api api : allApis) {
+        Replay fused = replay(w, dev, api);
+        ASSERT_TRUE(fused.result.ok) << fused.result.skipReason;
+        sim::setCompileLowerOptions(sim::LowerOptions::noFusion());
+        Replay plain = replay(w, dev, api);
+        sim::setCompileLowerOptions({});
+        expectSameReplay(fused, plain,
+                         w.name + " unfused on " + sim::apiName(api));
+    }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllScenarios, GoldenReference, ::testing::ValuesIn(scenarioPtrs()),
-    [](const ::testing::TestParamInfo<const GoldenScenario *> &info) {
-        return info.param->name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, GoldenReference,
+                         ::testing::ValuesIn(replayNames()),
+                         [](const auto &info) { return info.param; });
 
-TEST(GoldenCoverage, EveryKernelHasAScenario)
+TEST(GoldenCoverage, ReplaysDispatchEveryKernel)
 {
-    // A kernel added to the registry without a golden scenario fails
+    // A kernel added to the registry that no replay dispatches fails
     // here — coverage cannot silently regress.  The size guard keeps
     // the registry from silently shrinking; bump it when adding a
     // kernel family.
@@ -142,50 +130,15 @@ TEST(GoldenCoverage, EveryKernelHasAScenario)
         expected.insert(name);
     EXPECT_EQ(expected.size(), 24u);
 
-    std::set<std::string> covered;
-    for (const auto &s : goldenScenarios()) {
-        EXPECT_FALSE(s.steps.empty()) << s.name;
-        EXPECT_FALSE(s.checks.empty()) << s.name;
-        for (const auto &m : s.modules)
-            covered.insert(m.name);
-        // Every module must actually be dispatched by the schedule.
-        std::set<size_t> used;
-        for (const auto &st : s.steps)
-            used.insert(st.module);
-        EXPECT_EQ(used.size(), s.modules.size()) << s.name;
+    std::set<std::string> dispatched;
+    for (const std::string &name : replayNames()) {
+        Replay r = replay(replayWorkload(name), sim::gtx1050ti(),
+                          sim::Api::Vulkan);
+        ASSERT_TRUE(r.result.ok) << name << ": " << r.result.skipReason;
+        for (const sim::RecordedDispatch &d : r.dispatches)
+            dispatched.insert(d.kernel);
     }
-    EXPECT_EQ(covered, expected);
-}
-
-TEST(GoldenCoverage, LookupByNameWorks)
-{
-    EXPECT_EQ(goldenScenarioByName("gaussian").name, "gaussian");
-    EXPECT_GE(goldenScenarioByName("bfs").steps.size(), 2u);
-    EXPECT_EQ(goldenScenarioByName("srad").modules.size(), 3u);
-    EXPECT_EQ(goldenScenarioByName("kmeans").modules.size(), 2u);
-}
-
-/** Micro-op fusion must be observably invisible on every kernel shape
- *  in the suite: replaying a scenario with lowering fusion disabled
- *  must produce bit-identical checked buffers (not merely within
- *  tolerance). */
-TEST_P(GoldenReference, FusionIsBitInvisible)
-{
-    const GoldenScenario &s = *GetParam();
-    const sim::DeviceSpec &dev = sim::gtx1050ti();
-    for (sim::Api api : allApis) {
-        GoldenOutcome fused = runGoldenScenario(s, dev, api);
-        sim::LowerOptions no_fusion = sim::LowerOptions::noFusion();
-        GoldenOutcome plain = runGoldenScenario(s, dev, api, &no_fusion);
-        ASSERT_TRUE(fused.ran) << fused.skipReason;
-        ASSERT_TRUE(plain.ran) << plain.skipReason;
-        ASSERT_EQ(fused.checkedBuffers.size(),
-                  plain.checkedBuffers.size());
-        for (size_t c = 0; c < fused.checkedBuffers.size(); ++c)
-            EXPECT_EQ(fused.checkedBuffers[c], plain.checkedBuffers[c])
-                << s.name << " check " << c << " on "
-                << sim::apiName(api);
-    }
+    EXPECT_EQ(dispatched, expected);
 }
 
 } // namespace

@@ -8,8 +8,9 @@
 #include <cmath>
 #include <set>
 
+#include "replay.h"
 #include "suite/benchmark.h"
-#include "suite/validate.h"
+#include "suite/workloads.h"
 
 namespace vcb::suite {
 namespace {
@@ -96,42 +97,6 @@ TEST(Validate, CompareInts)
     EXPECT_TRUE(compareInts({1, 2, 3}, {1, 2, 3}).empty());
     EXPECT_NE(compareInts({1, 2, 4}, {1, 2, 3}).find("[2]"),
               std::string::npos);
-}
-
-/**
- * Reduced-size configurations used for cross-API validation — small
- * enough that the full (benchmark x API) matrix interprets in seconds.
- * Parameter meanings follow each benchmark's SizeConfig convention.
- */
-SizeConfig
-smallConfig(const std::string &name)
-{
-    if (name == "backprop")
-        return {"small", {2048}};
-    if (name == "bfs")
-        return {"small", {4096}};
-    if (name == "cfd")
-        return {"small", {4096}};
-    if (name == "gaussian")
-        return {"small", {64}};
-    if (name == "hotspot")
-        return {"small", {64, 4}};
-    if (name == "lud")
-        return {"small", {96}};
-    if (name == "nn")
-        return {"small", {8192}};
-    if (name == "nw")
-        return {"small", {160}};
-    if (name == "pathfinder")
-        return {"small", {16, 2048}};
-    if (name == "srad")
-        return {"small", {32, 2}};
-    if (name == "kmeans")
-        return {"small", {1024, 4, 5}};
-    if (name == "streamcluster")
-        return {"small", {1024, 8, 3}};
-    ADD_FAILURE() << "unknown benchmark " << name;
-    return {"small", {64}};
 }
 
 struct MatrixCase

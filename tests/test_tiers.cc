@@ -1,10 +1,10 @@
 /** @file Tier-equivalence: the executor tier, the lane-block width
- *  and superop formation are host-speed knobs ONLY.  Every golden
- *  scenario is replayed under each forced VCB_EXECUTOR tier, each
- *  supported VCB_BLOCK_W, and with VCB_SUPEROPS disabled, demanding
- *  bit-identical checked buffers, DispatchStats and simulated
- *  kernelNs against the auto-tier reference run — including the
- *  divergence-heavy scenarios whose mid-phase branches exercise the
+ *  and superop formation are host-speed knobs ONLY.  Every replay
+ *  workload runs under each forced VCB_EXECUTOR tier, each supported
+ *  VCB_BLOCK_W, and with VCB_SUPEROPS disabled, demanding bit-identical
+ *  host arrays, per-dispatch DispatchStats and simulated kernelNs
+ *  against the auto-tier reference run — including the
+ *  divergence-heavy workloads whose mid-phase branches exercise the
  *  block tier's bail-to-lane-major path at every width. */
 
 #include <gtest/gtest.h>
@@ -12,148 +12,93 @@
 #include <string>
 #include <vector>
 
+#include "replay.h"
 #include "sim/device.h"
 #include "sim/dispatch.h"
 #include "sim/microop.h"
-#include "suite/validate.h"
 
 namespace vcb::suite {
 namespace {
 
-/** Restore every executor knob to its env-driven default, so a
- *  failing assertion cannot leak a forced tier into later tests. */
-struct KnobGuard
-{
-    ~KnobGuard()
-    {
-        sim::setExecutorOverride(sim::ExecTier::Count);
-        sim::setBlockWidth(0);
-        sim::setSuperopsEnabled(-1);
-    }
-};
-
-/** Assert `got` is observably indistinguishable from `ref`: same
- *  checked buffers (bit-exact), same per-step DispatchStats, same
- *  simulated kernel time. */
-void
-expectSameOutcome(const GoldenScenario &s, const GoldenOutcome &ref,
-                  const GoldenOutcome &got, const std::string &what)
-{
-    ASSERT_TRUE(got.ran) << s.name << " under " << what << ": "
-                         << got.skipReason;
-    EXPECT_EQ(got.error, "") << s.name << " under " << what;
-    ASSERT_EQ(got.checkedBuffers.size(), ref.checkedBuffers.size())
-        << s.name << " under " << what;
-    for (size_t c = 0; c < ref.checkedBuffers.size(); ++c)
-        EXPECT_EQ(got.checkedBuffers[c], ref.checkedBuffers[c])
-            << s.name << " buffer " << c << " under " << what;
-    ASSERT_EQ(got.stepStats.size(), ref.stepStats.size())
-        << s.name << " under " << what;
-    for (size_t st = 0; st < ref.stepStats.size(); ++st)
-        EXPECT_TRUE(got.stepStats[st] == ref.stepStats[st])
-            << s.name << " step " << st << " stats diverge under "
-            << what << " (laneCycles " << got.stepStats[st].laneCycles
-            << " vs " << ref.stepStats[st].laneCycles
-            << ", sharedAccesses "
-            << got.stepStats[st].sharedAccesses << " vs "
-            << ref.stepStats[st].sharedAccesses << ", dramAccesses "
-            << got.stepStats[st].dramAccesses << " vs "
-            << ref.stepStats[st].dramAccesses << ")";
-    EXPECT_EQ(got.kernelNs, ref.kernelNs)
-        << s.name << " simulated time diverges under " << what;
-}
-
-class TierEquivalence
-    : public ::testing::TestWithParam<const GoldenScenario *>
+class TierEquivalence : public ::testing::TestWithParam<std::string>
 {
 };
 
-/** Each of the four tiers, forced, must replay every scenario with
+/** Each of the four tiers, forced, must replay every workload with
  *  results bit-identical to the policy-chosen tier. */
 TEST_P(TierEquivalence, ForcedTiersMatchAuto)
 {
-    const GoldenScenario &s = *GetParam();
+    Workload w = replayWorkload(GetParam());
     const sim::DeviceSpec &dev = sim::gtx1050ti();
     KnobGuard guard;
 
-    sim::setExecutorOverride(sim::ExecTier::Count);
-    GoldenOutcome ref = runGoldenScenario(s, dev, sim::Api::Vulkan);
-    ASSERT_TRUE(ref.ran) << ref.skipReason;
+    Replay ref = replay(w, dev, sim::Api::Vulkan);
+    ASSERT_TRUE(ref.result.ok) << ref.result.skipReason;
 
     for (sim::ExecTier tier :
          {sim::ExecTier::Trace, sim::ExecTier::Block,
           sim::ExecTier::LaneMajor, sim::ExecTier::Instrumented}) {
         sim::setExecutorOverride(tier);
-        GoldenOutcome out = runGoldenScenario(s, dev, sim::Api::Vulkan);
+        Replay out = replay(w, dev, sim::Api::Vulkan);
         sim::setExecutorOverride(sim::ExecTier::Count);
-        expectSameOutcome(s, ref, out,
-                          std::string("forced tier ") +
-                              sim::execTierName(tier));
+        expectSameReplay(ref, out,
+                         w.name + " under forced tier " +
+                             sim::execTierName(tier));
     }
 }
 
 /** W is a host-vectorization knob: every supported lane-block width
- *  must produce identical results, including scenarios that diverge
+ *  must produce identical results, including workloads that diverge
  *  mid-block and bail partial blocks to the lane-major executor. */
 TEST_P(TierEquivalence, BlockWidthNeverChangesResults)
 {
-    const GoldenScenario &s = *GetParam();
+    Workload w = replayWorkload(GetParam());
     const sim::DeviceSpec &dev = sim::gtx1050ti();
     KnobGuard guard;
 
-    sim::setBlockWidth(0);
-    GoldenOutcome ref = runGoldenScenario(s, dev, sim::Api::Vulkan);
-    ASSERT_TRUE(ref.ran) << ref.skipReason;
+    Replay ref = replay(w, dev, sim::Api::Vulkan);
+    ASSERT_TRUE(ref.result.ok) << ref.result.skipReason;
 
-    for (uint32_t w : {4u, 8u, 16u}) {
-        sim::setBlockWidth(w);
-        GoldenOutcome out = runGoldenScenario(s, dev, sim::Api::Vulkan);
+    for (uint32_t width : {4u, 8u, 16u}) {
+        sim::setBlockWidth(width);
+        Replay out = replay(w, dev, sim::Api::Vulkan);
         sim::setBlockWidth(0);
-        expectSameOutcome(s, ref, out,
-                          "block width " + std::to_string(w));
+        expectSameReplay(ref, out,
+                         w.name + " at block width " +
+                             std::to_string(width));
     }
 }
 
 /** Superop formation (and with it SuperLoop fusion) must be
  *  observably invisible: compiling with VCB_SUPEROPS=0 must replay
- *  every scenario bit-identically, on every tier. */
+ *  every workload bit-identically, on every tier. */
 TEST_P(TierEquivalence, SuperopsAreBitInvisible)
 {
-    const GoldenScenario &s = *GetParam();
+    Workload w = replayWorkload(GetParam());
     const sim::DeviceSpec &dev = sim::gtx1050ti();
     KnobGuard guard;
 
     sim::setSuperopsEnabled(1);
-    GoldenOutcome ref = runGoldenScenario(s, dev, sim::Api::Vulkan);
-    ASSERT_TRUE(ref.ran) << ref.skipReason;
+    Replay ref = replay(w, dev, sim::Api::Vulkan);
+    ASSERT_TRUE(ref.result.ok) << ref.result.skipReason;
 
     sim::setSuperopsEnabled(0);
-    GoldenOutcome plain = runGoldenScenario(s, dev, sim::Api::Vulkan);
-    expectSameOutcome(s, ref, plain, "superops disabled");
+    Replay plain = replay(w, dev, sim::Api::Vulkan);
+    expectSameReplay(ref, plain, w.name + " with superops disabled");
 
     // Superops with the lane-major executor forced: the scalar
     // per-lane Super/SuperLoop handlers must agree with the plain
     // stream too (the vector handlers are covered above).
     sim::setSuperopsEnabled(1);
     sim::setExecutorOverride(sim::ExecTier::LaneMajor);
-    GoldenOutcome lane = runGoldenScenario(s, dev, sim::Api::Vulkan);
-    expectSameOutcome(s, ref, lane, "superops + forced lane-major");
+    Replay lane = replay(w, dev, sim::Api::Vulkan);
+    expectSameReplay(ref, lane,
+                     w.name + " with superops + forced lane-major");
 }
 
-std::vector<const GoldenScenario *>
-scenarioPtrs()
-{
-    std::vector<const GoldenScenario *> ptrs;
-    for (const auto &s : goldenScenarios())
-        ptrs.push_back(&s);
-    return ptrs;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllScenarios, TierEquivalence, ::testing::ValuesIn(scenarioPtrs()),
-    [](const ::testing::TestParamInfo<const GoldenScenario *> &info) {
-        return info.param->name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, TierEquivalence,
+                         ::testing::ValuesIn(replayNames()),
+                         [](const auto &info) { return info.param; });
 
 /** The tier policy itself: metadata-driven, with the documented
  *  degradations. */

@@ -1,7 +1,8 @@
 /** @file Smoke tests for the tools/ binaries: vcb_run --list, a tiny
- *  vcb_run benchmark execution, and vcb_disasm on builder-generated
- *  modules.  CTest points VCB_RUN_BIN / VCB_DISASM_BIN at the built
- *  executables; the tests skip when run outside the build harness. */
+ *  vcb_run benchmark execution, vcb_disasm on builder-generated
+ *  modules, and vcb_serve's error responses.  CTest points VCB_RUN_BIN
+ *  / VCB_DISASM_BIN / VCB_SERVE_BIN at the built executables; the tests
+ *  skip when run outside the build harness. */
 
 #include <gtest/gtest.h>
 
@@ -40,12 +41,13 @@ class ToolsSmoke : public ::testing::Test
     {
         vcbRun = binFromEnv("VCB_RUN_BIN");
         vcbDisasm = binFromEnv("VCB_DISASM_BIN");
-        if (vcbRun.empty() || vcbDisasm.empty())
-            GTEST_SKIP()
-                << "VCB_RUN_BIN / VCB_DISASM_BIN not set (run via ctest)";
+        vcbServe = binFromEnv("VCB_SERVE_BIN");
+        if (vcbRun.empty() || vcbDisasm.empty() || vcbServe.empty())
+            GTEST_SKIP() << "VCB_RUN_BIN / VCB_DISASM_BIN / VCB_SERVE_BIN "
+                            "not set (run via ctest)";
     }
 
-    std::string vcbRun, vcbDisasm;
+    std::string vcbRun, vcbDisasm, vcbServe;
 };
 
 TEST_F(ToolsSmoke, RunListShowsBenchmarksAndDevices)
@@ -149,6 +151,26 @@ TEST_F(ToolsSmoke, DisasmOnMobileDeviceShowsProfile)
     EXPECT_NE(out.find("Adreno"), std::string::npos) << out;
     // No CUDA on the Snapdragon part.
     EXPECT_NE(out.find("not available"), std::string::npos) << out;
+}
+
+TEST_F(ToolsSmoke, ServeRejectionKeepsTheRequestId)
+{
+    // The id parses before the unknown key is rejected; the error line
+    // must echo it or the client cannot tell which request failed.
+    std::string out;
+    ASSERT_EQ(runCapture("printf '%s\\n' "
+                         "'{\"id\": \"x7\", \"bench\": \"bfs\", "
+                         "\"bogus\": 1}' | " +
+                             vcbServe + " --sessions 1",
+                         &out),
+              0)
+        << out;
+    size_t line = out.find("{\"type\": \"error\"");
+    ASSERT_NE(line, std::string::npos) << out;
+    std::string error_line = out.substr(line, out.find('\n', line) - line);
+    EXPECT_NE(error_line.find("\"id\": \"x7\""), std::string::npos)
+        << error_line;
+    EXPECT_NE(error_line.find("bogus"), std::string::npos) << error_line;
 }
 
 } // namespace

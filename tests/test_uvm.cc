@@ -27,6 +27,7 @@
 #include "harness/sweep.h"
 #include "kernels/kernels.h"
 #include "ocl/ocl.h"
+#include "replay.h"
 #include "sim/device.h"
 #include "sim/device_file.h"
 #include "sim/dispatch.h"
@@ -39,16 +40,7 @@
 namespace vcb {
 namespace {
 
-/** Restore the executor knobs (same guard as test_tiers.cc). */
-struct KnobGuard
-{
-    ~KnobGuard()
-    {
-        sim::setExecutorOverride(sim::ExecTier::Count);
-        sim::setBlockWidth(0);
-        sim::setSuperopsEnabled(-1);
-    }
-};
+using suite::KnobGuard;
 
 constexpr uint64_t kKiB = 1024;
 

@@ -8,45 +8,12 @@
 #include <map>
 #include <set>
 
+#include "replay.h"
 #include "suite/benchmark.h"
 #include "suite/workload.h"
 
 namespace vcb::suite {
 namespace {
-
-/** Reduced-size configurations (same conventions as test_suite.cc's
- *  matrix) so the benchmark x runner x strategy sweep runs in
- *  seconds. */
-SizeConfig
-smallConfig(const std::string &name)
-{
-    if (name == "backprop")
-        return {"small", {2048}};
-    if (name == "bfs")
-        return {"small", {4096}};
-    if (name == "cfd")
-        return {"small", {4096}};
-    if (name == "gaussian")
-        return {"small", {64}};
-    if (name == "hotspot")
-        return {"small", {64, 4}};
-    if (name == "lud")
-        return {"small", {96}};
-    if (name == "nn")
-        return {"small", {8192}};
-    if (name == "nw")
-        return {"small", {160}};
-    if (name == "pathfinder")
-        return {"small", {16, 2048}};
-    if (name == "srad")
-        return {"small", {32, 2}};
-    if (name == "kmeans")
-        return {"small", {1024, 4, 5}};
-    if (name == "streamcluster")
-        return {"small", {1024, 8, 3}};
-    ADD_FAILURE() << "unknown benchmark " << name;
-    return {"small", {64}};
-}
 
 class WorkloadRunners : public ::testing::TestWithParam<std::string>
 {

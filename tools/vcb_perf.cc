@@ -252,13 +252,17 @@ main(int argc, char **argv)
     std::string b_label[kBenches];
     std::vector<double> mix_wall_r, mix_sim_r, mix_wgps_r;
     uint64_t mix_wgs = 0;
-    uint64_t tier0[static_cast<size_t>(sim::ExecTier::Count)];
-    for (size_t t = 0; t < static_cast<size_t>(sim::ExecTier::Count);
-         ++t)
-        tier0[t] = sim::tierWorkgroupCount(static_cast<sim::ExecTier>(t));
+    // Per-tier workgroups of one run, like mix_wgs: which executor tier
+    // did the work (telemetry, not simulation state).
+    constexpr size_t kTiers = static_cast<size_t>(sim::ExecTier::Count);
+    uint64_t tier_wgs[kTiers] = {};
     bool all_ok = true;
 
     for (int rep = 0; rep < repeat; ++rep) {
+        uint64_t tier0[kTiers];
+        for (size_t t = 0; t < kTiers; ++t)
+            tier0[t] =
+                sim::tierWorkgroupCount(static_cast<sim::ExecTier>(t));
         uint64_t rep_wgs = 0;
         double rep_wall = 0;
         double rep_sim = 0;
@@ -291,6 +295,10 @@ main(int argc, char **argv)
             rep_sim += sim_ms;
         }
         mix_wgs = rep_wgs;
+        for (size_t t = 0; t < kTiers; ++t)
+            tier_wgs[t] =
+                sim::tierWorkgroupCount(static_cast<sim::ExecTier>(t)) -
+                tier0[t];
         mix_wall_r.push_back(rep_wall);
         mix_sim_r.push_back(rep_sim);
         mix_wgps_r.push_back(rep_sim > 0 ? rep_wgs * 1e3 / rep_sim
@@ -312,15 +320,6 @@ main(int argc, char **argv)
                     all_ok ? "true" : "false");
         std::fflush(stdout);
     }
-
-    // Per-tier workgroup counts over the whole run: which executor
-    // tier actually did the work (telemetry, not simulation state).
-    uint64_t tier_wgs[static_cast<size_t>(sim::ExecTier::Count)];
-    for (size_t t = 0; t < static_cast<size_t>(sim::ExecTier::Count);
-         ++t)
-        tier_wgs[t] =
-            sim::tierWorkgroupCount(static_cast<sim::ExecTier>(t)) -
-            tier0[t];
 
     const double wgps_med = median(mix_wgps_r);
     const double wgps_min =

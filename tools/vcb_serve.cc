@@ -128,6 +128,9 @@ main(int argc, char **argv)
             ++broker.metrics().rejected;
             serve::Response r;
             r.type = "error";
+            // parseRequestLine reads the id before later checks fail;
+            // echo it so the client can match the rejection.
+            r.id = req.id;
             r.ok = false;
             r.error = err;
             emit(r);
