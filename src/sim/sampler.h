@@ -50,7 +50,12 @@ class CoalesceSampler
     {
         VCB_ASSERT(site < numSites && lane < localCount,
                    "sampler record out of range");
-        recordOne(lane, site, byte_addr);
+        uint32_t &occ = occCount[static_cast<size_t>(site) * localCount +
+                                 lane];
+        const uint32_t occ_idx = std::min(occ, occCap - 1);
+        ++occ;
+        addLine(group(site, occ_idx, static_cast<uint32_t>(warpOf(lane))),
+                lineOf(byte_addr));
         agg[site].accesses += 1;
     }
 
@@ -132,18 +137,6 @@ class CoalesceSampler
             return shift >= 0 ? x >> shift : x / d;
         }
     };
-
-    /** The distinct-line bookkeeping of record(), without the
-     *  per-site access count. */
-    void recordOne(uint32_t lane, uint32_t site, uint64_t byte_addr)
-    {
-        uint32_t &occ = occCount[static_cast<size_t>(site) * localCount +
-                                 lane];
-        const uint32_t occ_idx = std::min(occ, occCap - 1);
-        ++occ;
-        addLine(group(site, occ_idx, static_cast<uint32_t>(warpOf(lane))),
-                lineOf(byte_addr));
-    }
 
     /** The distinct-line set of (site, occurrence, warp). */
     std::vector<uint64_t> &group(uint32_t site, uint32_t occ_idx,
