@@ -155,23 +155,20 @@ ExecutionEngine::dispatch(const DispatchContext &ctx)
                     ws.tierWorkgroups[t], std::memory_order_relaxed);
     };
 
-    ThreadPool &pool = ThreadPool::global();
-    std::vector<WorkerState> workers(pool.workerCount() + 1);
-
     // Sampled workgroups run serially first (the sampler is not
-    // thread-safe), on the calling thread's participant slot 0 so its
-    // prepared interpreter carries on into the ranges below;
-    // workgroups are independent, so order is irrelevant to results.
+    // thread-safe); workgroups are independent, so order is irrelevant
+    // to results.
     {
-        WorkerState &st = workers[0];
-        st.active = true;
-        st.interp.prepare(ctx);
-        st.ws.siteExec.assign(k.numSites, 0);
+        Interpreter interp;
+        interp.prepare(ctx);
+        WorkgroupStats ws;
+        ws.siteExec.assign(k.numSites, 0);
         for (size_t i = 0; i < num_samples; ++i) {
             uint32_t x, y, z;
             unflatten(samples[i], ctx.groups, x, y, z);
-            st.interp.runWorkgroup(x, y, z, st.ws, &sampler);
+            interp.runWorkgroup(x, y, z, ws, &sampler);
         }
+        merge(ws);
     }
 
     // Remaining workgroups in parallel, whole ranges per worker
@@ -180,6 +177,8 @@ ExecutionEngine::dispatch(const DispatchContext &ctx)
     // array is subtracted from each range up front so the hot loop is
     // branch-free over contiguous sub-ranges.
     if (total > num_samples) {
+        ThreadPool &pool = ThreadPool::global();
+        std::vector<WorkerState> workers(pool.workerCount() + 1);
         pool.parallelForRange(
             total, [&](uint64_t begin, uint64_t end, unsigned w) {
                 WorkerState &st = workers[w];
@@ -207,10 +206,10 @@ ExecutionEngine::dispatch(const DispatchContext &ctx)
                 }
                 run(at, end);
             });
+        for (const WorkerState &st : workers)
+            if (st.active)
+                merge(st.ws);
     }
-    for (const WorkerState &st : workers)
-        if (st.active)
-            merge(st.ws);
 
     // Fold site execution counts into DRAM/on-chip traffic using the
     // sampled coalescing ratios.

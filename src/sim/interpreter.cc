@@ -203,18 +203,12 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
 
     ws.invocations += localCount;
 
-    // Robust access forces the instrumented tier for this workgroup
-    // regardless of the per-kernel selection, and so does a sampler on
-    // the lane-major tier.  The trace/block tiers record a sampled
-    // workgroup themselves: the sampler's line groups are sets, so the
-    // op-major order records exactly what lane-major order does.
-    const ExecTier t =
-        (ctx->robustAccess ||
-         (sampler != nullptr && tier == ExecTier::LaneMajor))
-            ? ExecTier::Instrumented
-            : tier;
+    // A sampler or robust access forces the instrumented tier for this
+    // workgroup regardless of the per-kernel selection.
+    const ExecTier t = (sampler != nullptr || ctx->robustAccess)
+                           ? ExecTier::Instrumented
+                           : tier;
     const bool blocked = t == ExecTier::Trace || t == ExecTier::Block;
-    sampling = blocked ? sampler : nullptr;
     ws.tierWorkgroups[static_cast<size_t>(t)] += 1;
 
     // Phased execution, one executor call per phase: every lane runs
@@ -927,19 +921,6 @@ Interpreter::runPhase<true>(uint32_t, uint32_t, uint32_t, uint32_t,
                             CoalesceSampler *, uint32_t &, uint32_t &);
 
 void
-Interpreter::runLanes(uint32_t lane_begin, uint32_t lane_end, uint32_t wx,
-                      uint32_t wy, uint32_t wz, WorkgroupStats &ws,
-                      uint32_t &done_out, uint32_t &barrier_out)
-{
-    if (sampling)
-        runPhase<true>(lane_begin, lane_end, wx, wy, wz, ws, sampling,
-                       done_out, barrier_out);
-    else
-        runPhase<false>(lane_begin, lane_end, wx, wy, wz, ws, nullptr,
-                        done_out, barrier_out);
-}
-
-void
 Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
                        uint32_t lane_begin, uint32_t lane_end,
                        WorkgroupStats &ws)
@@ -1014,33 +995,7 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
             ACC[l] = fToBits(left ? t + z : z + t);
             IA[l] = NB[l] + NC[l];
         };
-        // A sampled workgroup records both loads of lane l's next body
-        // from the same registers body(l) reads them from; only body(l)
-        // writes lane l's registers, so a pass ahead of the bodies sees
-        // the same addresses.
-        CoalesceSampler *const smp = sampling;
-        std::vector<uint32_t> a1s, a2s;
-        if (smp) {
-            a1s.resize(n);
-            a2s.resize(n);
-        }
-        auto sampleAll = [&] {
-            for (uint32_t l = 0; l < n; ++l) {
-                a1s[l] = IB[l] * IC[l] + IE[l];
-                a2s[l] = AB[l] + AC[l];
-            }
-            smp->recordLanes(lane_begin, n, sup.site[0], a1s.data());
-            smp->recordLanes(lane_begin, n, sup.site[1], a2s.data());
-        };
-        auto sample = [&](uint32_t l) {
-            smp->record(lane_begin + l, sup.site[0],
-                        uint64_t(IB[l] * IC[l] + IE[l]) * 4);
-            smp->record(lane_begin + l, sup.site[1],
-                        uint64_t(AB[l] + AC[l]) * 4);
-        };
         if (!sup.loop) {
-            if (smp)
-                sampleAll();
             for (uint32_t l = 0; l < n; ++l)
                 body(l);
             site_exec[sup.site[0]] += n;
@@ -1057,13 +1012,6 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
                 active += bitsToS(LB[l]) < bitsToS(LC[l]);
             if (active == 0)
                 break;
-            if (smp && active == n) {
-                sampleAll();
-            } else if (smp) {
-                for (uint32_t l = 0; l < n; ++l)
-                    if (bitsToS(LB[l]) < bitsToS(LC[l]))
-                        sample(l);
-            }
             if (active == n) {
                 for (uint32_t l = 0; l < n; ++l)
                     body(l);
@@ -1200,7 +1148,8 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
         }                                                                 \
         for (uint32_t l = 0; l < W; ++l)                                  \
             pcs[base + l] = A[l] == sense ? in.d : pc + 1;                \
-        runLanes(base, base + W, wx, wy, wz, ws, done, at_barrier);       \
+        runPhase<false>(base, base + W, wx, wy, wz, ws, nullptr, done,    \
+                        at_barrier);                                      \
         goto block_done;                                                  \
     }
 
@@ -1222,8 +1171,6 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
     const uint64_t shared_words = shared.size();
     const uint32_t lx = k.module.localSize[0];
     const uint32_t ly = k.module.localSize[1];
-
-    CoalesceSampler *const smp = sampling;
 
     uint32_t done = 0;
     uint32_t at_barrier = 0;
@@ -1341,7 +1288,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
         for (uint32_t l = 1; l < W; ++l)
             blk_uniform &= pcs[base + l] == pc;
         if (!blk_uniform) {
-            runLanes(base, base + W, wx, wy, wz, ws, done, at_barrier);
+            runPhase<false>(base, base + W, wx, wy, wz, ws, nullptr,
+                            done, at_barrier);
             continue;
         }
         // Charge the straight-line run for the block up front, as the
@@ -1533,18 +1481,12 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 break;
               }
 
-              // A sampled workgroup records each global op's addresses
-              // before the op runs (a load may overwrite them).
               case MOp::LdBuf: {
-                if (smp)
-                    smp->recordLanes(base, W, in.d, BV(in.c));
                 loadBlock(BV(in.a), BV(in.c), in.b);
                 site_exec[in.d] += W;
                 break;
               }
               case MOp::StBuf: {
-                if (smp)
-                    smp->recordLanes(base, W, in.d, BV(in.b));
                 storeBlock(in.a, BV(in.b), BV(in.c));
                 site_exec[in.d] += W;
                 break;
@@ -1574,8 +1516,6 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 const uint32_t *const C = BV(in.c);
                 for (uint32_t l = 0; l < W; ++l)
                     A[l] = B[l] + C[l];
-                if (smp)
-                    smp->recordLanes(base, W, in.e, A);
                 loadBlock(BV(in.d), A, in.aux);
                 site_exec[in.e] += W;
                 break;
@@ -1586,8 +1526,6 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 const uint32_t *const C = BV(in.c);
                 for (uint32_t l = 0; l < W; ++l)
                     A[l] = B[l] + C[l];
-                if (smp)
-                    smp->recordLanes(base, W, in.e, A);
                 storeBlock(in.aux, A, BV(in.d));
                 site_exec[in.e] += W;
                 break;
@@ -1808,8 +1746,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 for (uint32_t l = 0; l < W; ++l)
                     pcs[base + l] =
                         (A[l] != 0) == (sense != 0) ? in.b : pc + 1;
-                runLanes(base, base + W, wx, wy, wz, ws, done,
-                         at_barrier);
+                runPhase<false>(base, base + W, wx, wy, wz, ws,
+                                nullptr, done, at_barrier);
                 goto block_done;
               }
 
@@ -1860,8 +1798,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                     static_cast<uint64_t>(cost_from[pc]) * W;
                 for (uint32_t l = 0; l < W; ++l)
                     pcs[base + l] = pc;
-                runLanes(base, base + W, wx, wy, wz, ws, done,
-                         at_barrier);
+                runPhase<false>(base, base + W, wx, wy, wz, ws,
+                                nullptr, done, at_barrier);
                 goto block_done;
             }
             ++pc;
@@ -1873,8 +1811,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
     // saved pcs, after every full block — the same position they hold
     // in lane-major order.
     if (full < lc) {
-        runLanes(full, static_cast<uint32_t>(lc), wx, wy, wz, ws, done,
-                 at_barrier);
+        runPhase<false>(full, static_cast<uint32_t>(lc), wx, wy, wz, ws,
+                        nullptr, done, at_barrier);
     }
     done_out += done;
     barrier_out += at_barrier;
@@ -1982,7 +1920,6 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
     const uint64_t shared_words = shared.size();
     const uint32_t lx = k.module.localSize[0];
     const uint32_t ly = k.module.localSize[1];
-    CoalesceSampler *const smp = sampling;
 
     uint32_t pc = start_pc;
     // Charge the whole straight-line run for every lane up front, as
@@ -2259,19 +2196,11 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             break;
           }
 
-          // A sampled workgroup records each global op's addresses
-          // before the op runs (a load may overwrite them).
           case MOp::LdBuf:
-            if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.d,
-                                 V(in.c));
             loadVec(V(in.a), V(in.c), bufs[in.b], in.b);
             site_exec[in.d] += lc;
             break;
           case MOp::StBuf:
-            if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.d,
-                                 V(in.b));
             storeVec(V(in.c), V(in.b), bufs[in.a], in.a);
             site_exec[in.d] += lc;
             break;
@@ -2306,8 +2235,6 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const C = V(in.c);
             for (size_t l = 0; l < lc; ++l)
                 A[l] = B[l] + C[l];
-            if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.e, A);
             loadVec(V(in.d), A, bufs[in.aux], in.aux);
             site_exec[in.e] += lc;
             break;
@@ -2318,8 +2245,6 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const C = V(in.c);
             for (size_t l = 0; l < lc; ++l)
                 A[l] = B[l] + C[l];
-            if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.e, A);
             storeVec(V(in.d), A, bufs[in.aux], in.aux);
             site_exec[in.e] += lc;
             break;
@@ -2613,8 +2538,8 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                 ws.laneCycles -=
                     static_cast<uint64_t>(cost_from[pc]) * lc;
                 std::fill(pcs.begin(), pcs.end(), pc);
-                runLanes(0, static_cast<uint32_t>(lc), wx, wy, wz, ws,
-                         done_out, barrier_out);
+                runPhase<false>(0, static_cast<uint32_t>(lc), wx, wy,
+                                wz, ws, nullptr, done_out, barrier_out);
                 return;
             }
         }

@@ -9,12 +9,13 @@ namespace vcb::sim {
 
 CoalesceSampler::CoalesceSampler(uint32_t num_sites, uint32_t warp_width,
                                  uint32_t line_bytes, uint32_t local_count)
-    : numSites(num_sites), localCount(local_count),
+    : numSites(num_sites), warpWidth(warp_width), lineBytes(line_bytes),
+      localCount(local_count),
       numWarps(static_cast<uint32_t>(ceilDiv(local_count, warp_width))),
-      warpOf(warp_width), lineOf(line_bytes), agg(num_sites)
+      agg(num_sites)
 {
     VCB_ASSERT(warp_width > 0 && line_bytes > 0, "bad sampler params");
-    occCount.assign(static_cast<size_t>(numSites) * localCount, 0);
+    occCount.assign(static_cast<size_t>(localCount) * numSites, 0);
     slotOf.assign(static_cast<size_t>(numSites) * occCap * numWarps, -1);
 }
 
@@ -29,15 +30,33 @@ CoalesceSampler::beginWorkgroup()
     touched.clear();
 }
 
-int32_t
-CoalesceSampler::newSlot(uint32_t key)
+void
+CoalesceSampler::record(uint32_t lane, uint32_t site, uint64_t byte_addr)
 {
-    const auto slot = static_cast<int32_t>(touched.size());
-    slotOf[key] = slot;
-    touched.push_back(key);
-    if (linePool.size() < touched.size())
-        linePool.resize(touched.size());
-    return slot;
+    VCB_ASSERT(site < numSites && lane < localCount,
+               "sampler record out of range");
+    uint32_t &occ = occCount[static_cast<size_t>(lane) * numSites + site];
+    uint32_t occ_idx = std::min(occ, occCap - 1);
+    ++occ;
+
+    uint32_t warp = lane / warpWidth;
+    uint32_t key = (site * occCap + occ_idx) * numWarps + warp;
+    uint64_t line = byte_addr / lineBytes;
+
+    int32_t slot = slotOf[key];
+    if (slot < 0) {
+        slot = static_cast<int32_t>(touched.size());
+        slotOf[key] = slot;
+        touched.push_back(key);
+        if (linePool.size() < touched.size())
+            linePool.resize(touched.size());
+    }
+    std::vector<uint64_t> &lines = linePool[slot];
+    // Groups normally hold at most one line per warp lane; a linear
+    // scan suffices (the saturated last occ bucket can grow larger).
+    if (std::find(lines.begin(), lines.end(), line) == lines.end())
+        lines.push_back(line);
+    agg[site].accesses += 1;
 }
 
 void
