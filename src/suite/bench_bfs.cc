@@ -90,7 +90,7 @@ enum BufferIx : size_t
     B_COST,
     B_STOP
 };
-enum HostIx : size_t { H_ZERO, H_STOP, H_COST };
+enum HostIx : size_t { H_ZERO, H_STOP, H_COST, H_MASK, H_UMASK, H_VISITED };
 
 Workload
 makeWorkload(Graph graph)
@@ -118,7 +118,9 @@ makeWorkload(Graph graph)
                  {node_bytes, wordsOf(visited)},
                  {node_bytes, wordsOf(cost)},
                  {4, {}, /*hostVisible=*/true}};
-    w.host = {{0u}, {0u}, std::vector<uint32_t>(g.n)};
+    w.host = {{0u}, {0u}, std::vector<uint32_t>(g.n),
+              std::vector<uint32_t>(g.n), std::vector<uint32_t>(g.n),
+              std::vector<uint32_t>(g.n)};
 
     uint32_t groups = static_cast<uint32_t>(ceilDiv(g.n, 256));
     w.body = {uploadStep(B_STOP, H_ZERO),
@@ -140,9 +142,26 @@ makeWorkload(Graph graph)
     w.iterations = UINT32_MAX; // until the frontier drains
     w.converged = [](const HostArrays &h) { return h[H_STOP][0] == 0; };
     w.epilogue = {readbackStep(B_COST, H_COST)};
+    w.inspect = {readbackStep(B_MASK, H_MASK),
+                 readbackStep(B_UMASK, H_UMASK),
+                 readbackStep(B_VISITED, H_VISITED)};
     w.preferred = SubmitStrategy::RecordOnce;
     w.validate = [in](const HostArrays &h) {
-        return compareInts(intsOf(h[H_COST]), referenceBfs(*in));
+        std::vector<int32_t> cost = referenceBfs(*in);
+        std::string err = compareInts(intsOf(h[H_COST]), cost);
+        if (!err.empty())
+            return err;
+        // The last level drained the frontier: both masks end empty and
+        // exactly the reached nodes are visited.
+        std::vector<int32_t> visited(cost.size()), empty(cost.size(), 0);
+        for (size_t i = 0; i < cost.size(); ++i)
+            visited[i] = cost[i] >= 0 ? 1 : 0;
+        err = compareInts(intsOf(h[H_VISITED]), visited);
+        if (err.empty())
+            err = compareInts(intsOf(h[H_MASK]), empty);
+        if (err.empty())
+            err = compareInts(intsOf(h[H_UMASK]), empty);
+        return err;
     };
     return w;
 }

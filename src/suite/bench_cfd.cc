@@ -76,8 +76,14 @@ generateMesh(uint32_t n, uint64_t seed)
     return m;
 }
 
-/** CPU reference mirroring the three kernels' float order. */
-std::vector<float>
+/** CPU reference mirroring the three kernels' float order: the final
+ *  variables and the last iteration's step factors and fluxes. */
+struct Reference
+{
+    std::vector<float> var, sf, flux;
+};
+
+Reference
 referenceCfd(const Mesh &mesh)
 {
     uint32_t n = mesh.n;
@@ -124,11 +130,11 @@ referenceCfd(const Mesh &mesh)
                              var[uint64_t(v) * n + i]);
         }
     }
-    return var;
+    return {std::move(var), std::move(sf), std::move(flux)};
 }
 
 enum BufferIx : size_t { B_VAR, B_AREA, B_NB, B_NORM, B_SF, B_FLUX };
-enum HostIx : size_t { H_VAR };
+enum HostIx : size_t { H_VAR, H_SF, H_FLUX };
 
 Workload
 makeWorkload(Mesh m)
@@ -148,7 +154,8 @@ makeWorkload(Mesh m)
                  {4ull * n * 4, wordsOf(mesh.normals)},
                  {uint64_t(n) * 4, {}},
                  {5ull * n * 4, {}}};
-    w.host = {std::vector<uint32_t>(5ull * n)};
+    w.host = {std::vector<uint32_t>(5ull * n), std::vector<uint32_t>(n),
+              std::vector<uint32_t>(5ull * n)};
 
     uint32_t groups = (uint32_t)ceilDiv(n, 128);
     // Three pipeline binds per iteration — cfd's Vulkan tax.
@@ -167,10 +174,16 @@ makeWorkload(Mesh m)
               syncStep()};
     w.iterations = iterations;
     w.epilogue = {readbackStep(B_VAR, H_VAR)};
+    w.inspect = {readbackStep(B_SF, H_SF), readbackStep(B_FLUX, H_FLUX)};
     w.preferred = SubmitStrategy::Batched;
     w.validate = [in](const HostArrays &h) {
-        return compareFloats(floatsOf(h[H_VAR]), referenceCfd(*in),
-                             1e-3, 1e-4);
+        Reference ref = referenceCfd(*in);
+        std::string err = compareFloats(floatsOf(h[H_VAR]), ref.var);
+        if (err.empty())
+            err = compareFloats(floatsOf(h[H_SF]), ref.sf);
+        if (err.empty())
+            err = compareFloats(floatsOf(h[H_FLUX]), ref.flux);
+        return err;
     };
     return w;
 }

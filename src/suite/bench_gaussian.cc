@@ -53,9 +53,10 @@ generateSystem(uint32_t n, uint64_t seed)
     return s;
 }
 
-/** CPU reference: the same elimination order (Fan1 then Fan2). */
-void
-referenceEliminate(LinearSystem &s, std::vector<float> *m_out)
+/** CPU reference: the same elimination order (Fan1 then Fan2), in
+ *  place.  @return the multipliers, laid out as Fan1 writes them. */
+std::vector<float>
+referenceEliminate(LinearSystem &s)
 {
     uint32_t n = s.n;
     std::vector<float> m(uint64_t(n) * n, 0.0f);
@@ -71,12 +72,11 @@ referenceEliminate(LinearSystem &s, std::vector<float> *m_out)
             s.b[i] -= mult * s.b[t];
         }
     }
-    if (m_out)
-        *m_out = std::move(m);
+    return m;
 }
 
 enum BufferIx : size_t { B_A, B_M, B_B };
-enum HostIx : size_t { H_A, H_B };
+enum HostIx : size_t { H_A, H_B, H_M };
 
 Workload
 makeWorkload(LinearSystem s)
@@ -93,7 +93,8 @@ makeWorkload(LinearSystem s)
                  {uint64_t(n) * n * 4, {}},
                  {uint64_t(n) * 4, wordsOf(sys.b)}};
     w.host = {std::vector<uint32_t>(uint64_t(n) * n),
-              std::vector<uint32_t>(n)};
+              std::vector<uint32_t>(n),
+              std::vector<uint32_t>(uint64_t(n) * n)};
 
     w.bodyFor = [n](uint32_t t) {
         uint32_t rows = n - 1 - t;
@@ -110,14 +111,16 @@ makeWorkload(LinearSystem s)
     };
     w.iterations = n - 1;
     w.epilogue = {readbackStep(B_A, H_A), readbackStep(B_B, H_B)};
+    w.inspect = {readbackStep(B_M, H_M)};
     w.preferred = SubmitStrategy::Batched;
     w.validate = [in](const HostArrays &h) {
         LinearSystem ref = *in;
-        referenceEliminate(ref, nullptr);
-        std::string err =
-            compareFloats(floatsOf(h[H_A]), ref.a, 2e-3, 1e-3);
+        std::vector<float> m = referenceEliminate(ref);
+        std::string err = compareFloats(floatsOf(h[H_A]), ref.a);
         if (err.empty())
-            err = compareFloats(floatsOf(h[H_B]), ref.b, 2e-3, 1e-3);
+            err = compareFloats(floatsOf(h[H_B]), ref.b);
+        if (err.empty())
+            err = compareFloats(floatsOf(h[H_M]), m);
         return err;
     };
     return w;

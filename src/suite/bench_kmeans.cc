@@ -172,10 +172,12 @@ constexpr size_t B_MEM(size_t c) { return 3 + 4 * c; }
 constexpr size_t B_DELTA(size_t c) { return 4 + 4 * c; }
 
 // Host layout: zero word, centroids, the combined delta of every
-// iteration so far, then per chunk c {delta, mem} at 3 + 2c / 4 + 2c.
+// iteration so far, then per chunk c {delta, mem} at 3 + 2c / 4 + 2c,
+// then each chunk's transposed features.
 enum HostIx : size_t { H_ZERO, H_CENT, H_DELTAS };
 constexpr size_t H_CDELTA(size_t c) { return 3 + 2 * c; }
 constexpr size_t H_MEM(size_t c) { return 4 + 2 * c; }
+constexpr size_t H_SOA(size_t c) { return 3 + 2 * kChunks + c; }
 
 Workload
 makeWorkload(Points pts)
@@ -207,6 +209,10 @@ makeWorkload(Points pts)
         w.buffers.push_back({4, {}});
         w.host.push_back({0u});
         w.host.push_back(std::vector<uint32_t>(cn));
+    }
+    for (size_t c = 0; c < kChunks; ++c) {
+        w.host.push_back(std::vector<uint32_t>(size_t(cns[c]) * p.f));
+        w.inspect.push_back(readbackStep(B_SOA(c), H_SOA(c)));
     }
 
     // One-time per-slice feature transposes — independent dag roots.
@@ -263,13 +269,22 @@ makeWorkload(Points pts)
         return h[H_DELTAS].back() == 0;
     };
     w.preferred = SubmitStrategy::RecordOnce;
-    w.validate = [in](const HostArrays &h) {
+    w.validate = [in, bounds](const HostArrays &h) {
+        const Points &p = *in;
         std::vector<int32_t> mem;
         for (size_t c = 0; c < kChunks; ++c) {
             std::vector<int32_t> part = intsOf(h[H_MEM(c)]);
             mem.insert(mem.end(), part.begin(), part.end());
+            // The transpose is a pure copy: exact.
+            Points slice{uint32_t(bounds[c + 1] - bounds[c]), p.f, p.k,
+                         {p.aos.begin() + bounds[c] * p.f,
+                          p.aos.begin() + bounds[c + 1] * p.f}};
+            std::string err = compareFloats(floatsOf(h[H_SOA(c)]),
+                                            transposed(slice), 0.0, 0.0);
+            if (!err.empty())
+                return "transposed features: " + err;
         }
-        Reference ref = referenceKmeans(*in);
+        Reference ref = referenceKmeans(p);
         std::string err = compareInts(intsOf(h[H_DELTAS]), ref.deltas);
         if (!err.empty())
             return "per-iteration deltas: " + err;

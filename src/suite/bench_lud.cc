@@ -150,8 +150,7 @@ makeWorkload(Matrix m)
     w.epilogue = {readbackStep(B_MAT, H_A)};
     w.preferred = SubmitStrategy::Batched;
     w.validate = [in](const HostArrays &h) {
-        return compareFloats(floatsOf(h[H_A]), referenceLud(*in), 5e-3,
-                             1e-3);
+        return compareFloats(floatsOf(h[H_A]), referenceLud(*in));
     };
     return w;
 }

@@ -100,10 +100,11 @@ reducePartials(const std::vector<float> &j, uint32_t n,
 
 /** From-scratch CPU reference mirroring the kernels' operation order
  *  (named temporaries keep mul+add pairs uncontracted): the final image
- *  and the last iteration's reduction partials. */
+ *  and the last iteration's reduction partials and diffusion
+ *  coefficients. */
 struct Reference
 {
-    std::vector<float> j, psum, psum2;
+    std::vector<float> j, psum, psum2, c;
 };
 
 Reference
@@ -174,6 +175,7 @@ referenceSrad(const Image &im)
         }
     }
     ref.j = std::move(j);
+    ref.c = std::move(c);
     return ref;
 }
 
@@ -188,7 +190,7 @@ enum BufferIx : size_t
     B_DW,
     B_DE
 };
-enum HostIx : size_t { H_PSUM, H_PSUM2, H_Q0, H_J };
+enum HostIx : size_t { H_PSUM, H_PSUM2, H_Q0, H_J, H_C };
 
 Workload
 makeWorkload(Image image)
@@ -214,7 +216,7 @@ makeWorkload(Image image)
                  {bytes, {}}};
     w.host = {std::vector<uint32_t>(blocks),
               std::vector<uint32_t>(blocks), {0u},
-              std::vector<uint32_t>(n)};
+              std::vector<uint32_t>(n), std::vector<uint32_t>(n)};
 
     std::vector<std::pair<uint32_t, size_t>> stencil_bindings = {
         {0, B_J}, {1, B_C}, {2, B_DN}, {3, B_DS}, {4, B_DW}, {5, B_DE}};
@@ -239,12 +241,15 @@ makeWorkload(Image image)
     };
     w.iterations = im.iters;
     w.epilogue = {readbackStep(B_J, H_J)};
+    w.inspect = {readbackStep(B_C, H_C)};
     w.preferred = SubmitStrategy::ReRecord;
     w.validate = [in](const HostArrays &h) {
         Reference ref = referenceSrad(*in);
         std::string err = compareFloats(floatsOf(h[H_PSUM]), ref.psum);
         if (err.empty())
             err = compareFloats(floatsOf(h[H_PSUM2]), ref.psum2);
+        if (err.empty())
+            err = compareFloats(floatsOf(h[H_C]), ref.c);
         if (err.empty())
             err = compareFloats(floatsOf(h[H_J]), ref.j);
         return err;

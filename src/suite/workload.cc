@@ -215,6 +215,9 @@ checkWorkload(const Workload &w)
     checkSteps(w.prologue, "prologue", w.dag);
     checkSteps(w.body, "body", w.dag);
     checkSteps(w.epilogue, "epilogue", false);
+    for (const WorkloadStep &s : w.inspect)
+        VCB_ASSERT(s.kind == Kind::Readback,
+                   "%s: inspect steps must be readbacks", w.name.c_str());
     VCB_ASSERT(!(w.dag && w.bodyFor),
                "%s: dag workloads need a uniform body", w.name.c_str());
 }
@@ -919,6 +922,7 @@ runWorkloadVulkan(const Workload &w, const sim::DeviceSpec &dev,
         res.totalNs = run.ctx.now() - t_total0;
         res.migratedBytes = vkm::uvmMigratedBytes(run.ctx.device);
         res.faultNs = vkm::uvmFaultNs(run.ctx.device);
+        run.execStream(w.inspect);
 
         finishRun(w, run.host, res);
         if (host_out)
@@ -959,6 +963,7 @@ runWorkloadVulkan(const Workload &w, const sim::DeviceSpec &dev,
     res.totalNs = run.ctx.now() - t_total0;
     res.migratedBytes = vkm::uvmMigratedBytes(run.ctx.device);
     res.faultNs = vkm::uvmFaultNs(run.ctx.device);
+    run.execStream(w.inspect);
 
     finishRun(w, run.host, res);
     if (host_out)
@@ -1077,6 +1082,7 @@ runWorkloadOcl(const Workload &w, const sim::DeviceSpec &dev,
     res.totalNs = ctx.hostNowNs() - t_total0;
     res.migratedBytes = ocl::uvmMigratedBytes(ctx);
     res.faultNs = ocl::uvmFaultNs(ctx);
+    exec(w.inspect);
 
     finishRun(w, host, res);
     if (host_out)
@@ -1188,6 +1194,7 @@ runWorkloadCuda(const Workload &w, const sim::DeviceSpec &dev,
     res.totalNs = rt.hostNowNs() - t_total0;
     res.migratedBytes = cuda::uvmMigratedBytes(rt);
     res.faultNs = cuda::uvmFaultNs(rt);
+    exec(w.inspect);
 
     finishRun(w, host, res);
     if (host_out)

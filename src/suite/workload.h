@@ -226,6 +226,7 @@ struct WorkloadBuffer
  *       if converged && converged(host): break
  *   t1 = implicit final sync
  *   epilogue steps (result downloads)                 —— totalNs only
+ *   inspect steps (intermediate downloads)            —— untimed
  *   validate(host)
  *
  * A converge-until workload (converged != nullptr) must use the
@@ -253,6 +254,10 @@ struct Workload
     std::function<bool(const HostArrays &)> converged;
     /** Untimed result downloads, after the kernel region. */
     std::vector<WorkloadStep> epilogue;
+    /** Readbacks of intermediate buffers that only `validate` reads
+     *  (bfs's frontier masks, gaussian's multipliers).  They run after
+     *  totalNs is taken, so they change no reported number. */
+    std::vector<WorkloadStep> inspect;
 
     /** The strategy the paper's method would pick for this program —
      *  what Benchmark::run uses unless the caller overrides it. */
