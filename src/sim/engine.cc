@@ -238,7 +238,7 @@ ExecutionEngine::dispatch(const DispatchContext &ctx)
                                            ctx.dramDerate);
     if (t_recorder)
         t_recorder->dispatches.push_back(
-            {k.module.name, result.stats, result.kernelNs});
+            {k.module.name, total, result.stats, result.kernelNs});
     return result;
 }
 

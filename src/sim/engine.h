@@ -69,6 +69,7 @@ uint64_t tierWorkgroupCount(ExecTier t);
 struct RecordedDispatch
 {
     std::string kernel;
+    uint64_t workgroups = 0;
     DispatchStats stats;
     double kernelNs = 0;
 };

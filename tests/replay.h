@@ -1,6 +1,6 @@
 /** @file Shared by the tests that run benchmark workloads: the
- *  reduced-size table, the micro-kernel workloads, replaying a workload
- *  with its per-dispatch log, and the knob guard. */
+ *  reduced-size tables, the micro-kernel workloads, replaying a
+ *  workload with its per-dispatch log, and the knob guard. */
 
 #ifndef VCB_TESTS_REPLAY_H
 #define VCB_TESTS_REPLAY_H
@@ -23,48 +23,91 @@
 namespace vcb::suite {
 
 /**
- * Reduced-size configuration of each benchmark: small enough that every
- * (benchmark x API x knob) replay interprets in milliseconds, and sized
- * off the workgroup grain where the benchmark allows it, so the kernels'
- * partial-workgroup guards run too.  Parameter meanings follow each
- * benchmark's SizeConfig convention.
+ * Reduced-size configurations used for cross-API validation and the
+ * runner/strategy sweeps (test_suite, test_workload) — small enough
+ * that the full (benchmark x API x strategy) matrix interprets in
+ * seconds.  Parameter meanings follow each benchmark's SizeConfig
+ * convention.
  */
 inline SizeConfig
 smallConfig(const std::string &name)
 {
     if (name == "backprop")
-        return {"small", {100}};
+        return {"small", {2048}};
     if (name == "bfs")
-        return {"small", {300}};
+        return {"small", {4096}};
     if (name == "cfd")
-        return {"small", {192}};
+        return {"small", {4096}};
     if (name == "gaussian")
-        return {"small", {24}};
+        return {"small", {64}};
     if (name == "hotspot")
         return {"small", {64, 4}};
     if (name == "lud")
-        return {"small", {48}};
+        return {"small", {96}};
     if (name == "nn")
-        return {"small", {500}};
+        return {"small", {8192}};
     if (name == "nw")
-        return {"small", {64}};
+        return {"small", {160}};
     if (name == "pathfinder")
-        return {"small", {6, 700}};
+        return {"small", {16, 2048}};
     if (name == "srad")
         return {"small", {32, 2}};
     if (name == "kmeans")
-        return {"small", {512, 4, 4}};
+        return {"small", {1024, 4, 5}};
     if (name == "streamcluster")
-        return {"small", {320, 6, 3}};
+        return {"small", {1024, 8, 3}};
     ADD_FAILURE() << "unknown benchmark " << name;
     return {"small", {64}};
+}
+
+/** Workgroups ExecutionEngine::dispatch samples per dispatch; sampled
+ *  workgroups always run on the instrumented tier. */
+constexpr uint64_t kSampledWorkgroups = 4;
+
+/**
+ * Replay sizes (test_golden, test_tiers), for many runs per benchmark
+ * under every API and knob.  Every benchmark issues at least one
+ * dispatch wider than kSampledWorkgroups, so forced tiers run on
+ * unsampled workgroups, and sizes sit off the workgroup grain where
+ * the benchmark allows it, so the kernels' partial-workgroup guards
+ * run too.
+ */
+inline SizeConfig
+replayConfig(const std::string &name)
+{
+    if (name == "backprop")
+        return {"replay", {100}};
+    if (name == "bfs")
+        return {"replay", {1300}};
+    if (name == "cfd")
+        return {"replay", {700}};
+    if (name == "gaussian")
+        return {"replay", {40}};
+    if (name == "hotspot")
+        return {"replay", {64, 4}};
+    if (name == "lud")
+        return {"replay", {80}};
+    if (name == "nn")
+        return {"replay", {4100}};
+    if (name == "nw")
+        return {"replay", {160}};
+    if (name == "pathfinder")
+        return {"replay", {6, 1300}};
+    if (name == "srad")
+        return {"replay", {48, 2}};
+    if (name == "kmeans")
+        return {"replay", {4100, 4, 4}};
+    if (name == "streamcluster")
+        return {"replay", {1300, 6, 3}};
+    ADD_FAILURE() << "unknown benchmark " << name;
+    return {"replay", {64}};
 }
 
 /** One-step vectorAdd (z = x + y) with a partial last workgroup. */
 inline Workload
 vectorAddWorkload()
 {
-    constexpr uint32_t n = 1000;
+    constexpr uint32_t n = 1300;
     Rng rng(0x9001);
     std::vector<float> x(n), y(n);
     for (uint32_t i = 0; i < n; ++i) {
@@ -98,7 +141,7 @@ vectorAddWorkload()
 inline Workload
 stridedReadWorkload()
 {
-    constexpr uint32_t threads = 512, stride = 3, rounds = 8;
+    constexpr uint32_t threads = 1536, stride = 3, rounds = 8;
     const float sentinel = 123456789.0f;
     Rng rng(0x9002);
     std::vector<float> src(size_t(8) * threads * stride);
@@ -133,19 +176,18 @@ replayNames()
 }
 
 /**
- * The named workload with an untimed readback of every device buffer
- * appended, so replay comparisons cover intermediate buffers (bfs's
- * frontier masks, gaussian's multipliers, srad's coefficients...) as
- * well as what the benchmark itself downloads.
+ * The named workload at its replay size, with an untimed readback of
+ * every device buffer appended, so replay comparisons cover every
+ * buffer the kernels wrote, not only what validate checks.
  */
 inline Workload
 replayWorkload(const std::string &name)
 {
     Workload w = name == "vectorAdd"     ? vectorAddWorkload()
                  : name == "stridedRead" ? stridedReadWorkload()
-                     : byName(name).workload(smallConfig(name));
+                     : byName(name).workload(replayConfig(name));
     for (size_t b = 0; b < w.buffers.size(); ++b) {
-        w.epilogue.push_back(readbackStep(b, w.host.size()));
+        w.inspect.push_back(readbackStep(b, w.host.size()));
         w.host.push_back(std::vector<uint32_t>(w.buffers[b].bytes / 4));
     }
     return w;
@@ -189,6 +231,7 @@ expectSameReplay(const Replay &ref, const Replay &got,
         const sim::RecordedDispatch &a = ref.dispatches[i];
         const sim::RecordedDispatch &b = got.dispatches[i];
         EXPECT_EQ(b.kernel, a.kernel) << what << ": dispatch " << i;
+        EXPECT_EQ(b.workgroups, a.workgroups) << what << ": dispatch " << i;
         EXPECT_TRUE(b.stats == a.stats)
             << what << ": dispatch " << i << " (" << a.kernel
             << ") stats diverge (laneCycles " << b.stats.laneCycles

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,19 @@ namespace {
 class TierEquivalence : public ::testing::TestWithParam<std::string>
 {
 };
+
+/** Sampled workgroups run instrumented whatever the tier, so the
+ *  checks below need dispatches wider than the sample. */
+TEST_P(TierEquivalence, ReplayRunsUnsampledWorkgroups)
+{
+    Replay r = replay(replayWorkload(GetParam()), sim::gtx1050ti(),
+                      sim::Api::Vulkan);
+    ASSERT_TRUE(r.result.ok) << r.result.skipReason;
+    uint64_t widest = 0;
+    for (const sim::RecordedDispatch &d : r.dispatches)
+        widest = std::max(widest, d.workgroups);
+    EXPECT_GT(widest, kSampledWorkgroups);
+}
 
 /** Each of the four tiers, forced, must replay every workload with
  *  results bit-identical to the policy-chosen tier. */
