@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 
+#include "common/logging.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
@@ -153,14 +154,15 @@ makeWorkload(Graph graph)
             return err;
         // The last level drained the frontier: both masks end empty and
         // exactly the reached nodes are visited.
-        std::vector<int32_t> visited(cost.size()), empty(cost.size(), 0);
-        for (size_t i = 0; i < cost.size(); ++i)
-            visited[i] = cost[i] >= 0 ? 1 : 0;
-        err = compareInts(intsOf(h[H_VISITED]), visited);
-        if (err.empty())
-            err = compareInts(intsOf(h[H_MASK]), empty);
-        if (err.empty())
-            err = compareInts(intsOf(h[H_UMASK]), empty);
+        for (size_t i = 0; i < cost.size(); ++i) {
+            uint32_t visited = cost[i] >= 0 ? 1 : 0;
+            if (h[H_MASK][i] != 0 || h[H_UMASK][i] != 0 ||
+                h[H_VISITED][i] != visited)
+                return strprintf("node %zu: mask %u, umask %u, visited "
+                                 "%u (expected 0, 0, %u)",
+                                 i, h[H_MASK][i], h[H_UMASK][i],
+                                 h[H_VISITED][i], visited);
+        }
         return err;
     };
     return w;
