@@ -1,6 +1,7 @@
 #include "common/strutil.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -116,6 +117,24 @@ parseSize(const std::string &raw)
     if (end == s.c_str() || *end != '\0')
         fatal("parseSize: cannot parse '%s'", raw.c_str());
     return v * mult;
+}
+
+uint64_t
+parseCount(const char *flag, const std::string &value, uint64_t lo,
+           uint64_t hi)
+{
+    // strtoull alone would skip leading blanks, wrap a leading '-' and
+    // stop silently at the first non-digit.
+    const bool digit_first =
+        !value.empty() && std::isdigit(static_cast<unsigned char>(value[0]));
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (!digit_first || *end != '\0' || errno == ERANGE || v < lo || v > hi)
+        fatal("invalid %s '%s' (want %llu..%llu)", flag, value.c_str(),
+              static_cast<unsigned long long>(lo),
+              static_cast<unsigned long long>(hi));
+    return v;
 }
 
 } // namespace vcb

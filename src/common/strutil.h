@@ -39,6 +39,12 @@ std::string padLeft(const std::string &s, size_t width);
 /** Parse a non-negative integer with optional K/M/G suffix (powers of 2). */
 uint64_t parseSize(const std::string &s);
 
+/** Parse the value of a numeric command-line flag: the whole of `value`
+ *  must be a decimal integer in [lo, hi]; fatal, naming `flag`,
+ *  otherwise. */
+uint64_t parseCount(const char *flag, const std::string &value, uint64_t lo,
+                    uint64_t hi);
+
 } // namespace vcb
 
 #endif // VCB_COMMON_STRUTIL_H

@@ -38,18 +38,6 @@ findBench(const std::string &name)
     return nullptr;
 }
 
-/** Non-fatal sim::deviceByName (same case-insensitive substring
- *  match), against the calling thread's active registry. */
-const sim::DeviceSpec *
-findDevice(const std::string &name)
-{
-    std::string needle = toLower(name);
-    for (const auto &d : sim::activeDeviceRegistry())
-        if (toLower(d.name).find(needle) != std::string::npos)
-            return &d;
-    return nullptr;
-}
-
 bool
 parseApiName(const std::string &s, sim::Api *out)
 {
@@ -115,12 +103,10 @@ executeRequest(const Request &req, unsigned session)
                       strprintf("unknown bench '%s'",
                                 req.bench.c_str()));
 
-    const sim::DeviceSpec *dev = findDevice(req.device);
+    std::string why;
+    const sim::DeviceSpec *dev = sim::findDevice(req.device, &why);
     if (!dev)
-        return reject(req, session,
-                      strprintf("no device matching '%s' in this "
-                                "session's registry",
-                                req.device.c_str()));
+        return reject(req, session, why);
 
     sim::Api api;
     if (!parseApiName(req.api, &api))

@@ -13,12 +13,10 @@
  * kernels).
  *
  * Everything here is a *model input*: constants are set once per
- * device (with rationale) and never per-benchmark.  The paper's four
- * parts are compiled in (device_registry.cc); any device — those four
- * included — can also be described by a `.dev` spec file under
- * `devices/`, loaded through sim/device_file.h (see
- * docs/DEVICE_MODEL.md), which is how the report pipeline gets its
- * registry.
+ * device (with rationale) and never per-benchmark.  Every device is a
+ * `.dev` spec file under `devices/` (sim/device_file.h,
+ * docs/DEVICE_MODEL.md); the paper's four are also built into the
+ * library from those files (deviceRegistry()).
  */
 
 #ifndef VCB_SIM_DEVICE_H
@@ -192,7 +190,9 @@ struct DeviceSpec
     double lanesPerNs() const;
 };
 
-/** The compiled-in paper devices, in Table II then Table III order. */
+/** The built-in paper devices, in Table II then Table III order: the
+ *  `devices/<stem>.dev` files that VCB_BUILTIN_DEVICES (CMakeLists.txt)
+ *  lists, embedded at build time and parsed on first use. */
 const std::vector<DeviceSpec> &deviceRegistry();
 
 /**
@@ -250,8 +250,17 @@ class ScopedDeviceRegistry
     bool hadOverride = false;
 };
 
-/** Find a device in the active registry by (case-insensitive
- *  substring) name; fatal if absent. */
+/**
+ * Find a device in the active registry by name, comparing only letters
+ * (case-insensitively) and digits: an exact match wins, otherwise the
+ * one device whose name contains `name`.  An empty, unknown or
+ * ambiguous name returns null and, when `why` is non-null, stores the
+ * reason (naming the candidates).
+ */
+const DeviceSpec *findDevice(const std::string &name,
+                             std::string *why = nullptr);
+
+/** findDevice, fatal with its reason when it finds no single device. */
 const DeviceSpec &deviceByName(const std::string &name);
 
 /** Registry ids used throughout benches: "gtx1050ti", "rx560",

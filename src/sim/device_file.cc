@@ -429,9 +429,7 @@ serializeDevice(const DeviceSpec &d)
     std::string out;
     out += "# VComputeBench device spec.  Field semantics and "
            "calibration notes:\n";
-    out += "# docs/DEVICE_MODEL.md.  Regenerate canonical form with "
-           "vcb_report\n";
-    out += "# --write-builtin-specs (built-in parts only).\n\n";
+    out += "# docs/DEVICE_MODEL.md.\n\n";
     emitFields(out, deviceFields(copy));
     if (copy.unifiedMemory)
         emitFields(out, uvmFields(copy));

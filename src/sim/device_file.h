@@ -27,8 +27,8 @@
  * unknown-key, bad-value and out-of-range failures.
  *
  * The `devices/` directory at the repo root holds the paper's four
- * parts (byte-identical to serializing the built-in registry — a
- * test enforces it) plus the post-paper expansion profiles; the
+ * parts, which the build also embeds as the built-in registry
+ * (deviceRegistry()), plus the post-paper expansion profiles; the
  * reporting pipeline (tools/vcb_report) loads everything from there.
  */
 

@@ -1,328 +1,45 @@
 /**
  * @file
- * The four GPUs of the paper's evaluation (Tables II and III).
+ * The built-in device registry and the thread-scoped active registry.
  *
- * Architectural numbers (compute units, clocks, peak bandwidth, push
- * constant limits, warp/wavefront widths) are the public specs of the
- * real parts.  Driver-profile constants (overheads, efficiencies,
- * compiler maturity, quirks) are the *calibrated model inputs*; each is
- * annotated with the paper observation (or the cited prior work, e.g.
- * Fang et al. [15] for launch overheads) that motivates it.  They are
- * set once here and shared by every benchmark — per-benchmark results
- * then *emerge* from executed instruction and memory-access counts.
- *
- * These four are the only compiled-in devices.  The `devices/`
- * directory at the repo root carries the same four serialized as
- * spec files (byte-identical — tests/test_device_file.cc enforces it)
- * plus the post-paper expansion parts, and the report pipeline
- * (tools/vcb_report) loads everything from there: new devices are
- * added as spec files, never here.  Field-by-field semantics and
- * calibration guidance: docs/DEVICE_MODEL.md; load/save API:
- * sim/device_file.h.
+ * The built-in parts are the paper's four GPUs (Tables II and III).
+ * Their only definition is `devices/<stem>.dev`: CMakeLists.txt embeds
+ * those files' text at configure time (VCB_BUILTIN_DEVICES) and
+ * deviceRegistry() parses it once.  Their calibration rationale lives
+ * beside each value as `#` comments in those files; field semantics and
+ * calibration guidance: docs/DEVICE_MODEL.md.
  */
 
 #include "sim/device.h"
 
+#include <cctype>
+
 #include "common/logging.h"
-#include "common/strutil.h"
+#include "sim/device_file.h"
 
 namespace vcb::sim {
 
-namespace {
-
-DeviceSpec
-makeGtx1050Ti()
-{
-    DeviceSpec d;
-    d.name = "NVIDIA GTX1050Ti";
-    d.vendor = "NVIDIA";
-    d.platform = "Ubuntu 16.04 64-bit, Core i5-2500K, 16 GB";
-    d.mobile = false;
-    // Pascal GP107: 6 SMs x 128 CUDA cores @ ~1.39 GHz boost.
-    d.computeUnits = 6;
-    d.simdWidth = 128;
-    d.warpWidth = 32;
-    d.clockGhz = 1.39;
-    // 7 GHz effective GDDR5 on a 128-bit bus = 112 GB/s (paper Sec. V-A1).
-    d.peakBwGBs = 112.0;
-    d.sharedBwGBs = 900.0;
-    d.cacheLineBytes = 64;
-    // Transaction issue limit: unit-stride (2 lines per warp access)
-    // stays bandwidth-bound, while wide strides (a line per lane) are
-    // transaction-bound and split by the per-API transaction
-    // efficiency — reproducing Fig. 1's large-stride behaviour.
-    d.txPerNs = 1.70;
-    d.dispatchLatencyNs = 1500;
-    d.atomicNsEach = 2.0;
-    d.deviceHeapBytes = 4ull << 30;
-    d.hostVisibleHeapBytes = 16ull << 30;
-    d.hostCopyBwGBs = 12.0; // PCIe 3.0 x16 effective
-    d.unifiedMemory = false;
-    d.maxPushBytes = 256; // paper Sec. VI-B
-    d.maxWorkgroupInvocations = 1024;
-    d.computeQueueCount = 8;
-    d.transferQueueCount = 2;
-
-    DriverProfile &vk = d.apis[static_cast<int>(Api::Vulkan)];
-    vk.available = true;
-    vk.version = "API Version 1.0.42";
-    vk.submitOverheadNs = 10000;
-    vk.syncWakeupNs = 14000;
-    vk.pipelineCompileNsPerInsn = 9000;
-    vk.dispatchSetupNs = 700;
-    vk.barrierNs = 600;
-    vk.bindPipelineNs = 1000;
-    vk.bindDescSetNs = 900;
-    vk.pushConstantNs = 150;
-    // Young SPIR-V compiler: no local-memory promotion (bfs finding).
-    vk.localMemPromotion = false;
-    vk.codeQuality = 1.0;
-    vk.memEfficiency = 0.849; // measured unit stride -> 79.6 % (Fig. 1a)
-    vk.txEfficiency = 1.06;   // Fig. 1a: slight win beyond 64 B strides
-
-    DriverProfile &cl = d.apis[static_cast<int>(Api::OpenCl)];
-    cl.available = true;
-    cl.version = "OpenCL 1.2";
-    cl.launchOverheadNs = 6500;  // clEnqueueNDRangeKernel (Fang et al.)
-    cl.syncWakeupNs = 22000;     // clFinish round trip
-    cl.jitBuildNsPerInsn = 90000; // JIT: excluded from kernel-time regions
-    cl.dispatchSetupNs = 1000;
-    cl.barrierNs = 0;
-    cl.localMemPromotion = true; // mature compiler (CodeXL finding)
-    cl.codeQuality = 1.0;
-    cl.memEfficiency = 0.88;
-    cl.txEfficiency = 1.0;
-
-    DriverProfile &cu = d.apis[static_cast<int>(Api::Cuda)];
-    cu.available = true;
-    cu.version = "CUDA 8.0";
-    cu.launchOverheadNs = 5500;
-    cu.syncWakeupNs = 16000;
-    cu.dispatchSetupNs = 800;
-    cu.localMemPromotion = true;
-    cu.codeQuality = 1.0;
-    cu.memEfficiency = 0.926; // measured unit stride -> 84 % (Fig. 1a)
-    cu.txEfficiency = 1.0;
-    return d;
-}
-
-DeviceSpec
-makeRx560()
-{
-    DeviceSpec d;
-    d.name = "AMD RX560";
-    d.vendor = "AMD";
-    d.platform = "Ubuntu 16.04 64-bit, Core i5-2500K, 16 GB";
-    d.mobile = false;
-    // Polaris 21: 16 CUs x 64 stream processors @ ~1.175 GHz.
-    d.computeUnits = 16;
-    d.simdWidth = 64;
-    d.warpWidth = 64; // GCN wavefront
-    d.clockGhz = 1.175;
-    d.peakBwGBs = 112.0; // same GDDR5 configuration as above
-    d.sharedBwGBs = 1000.0;
-    d.cacheLineBytes = 64;
-    d.txPerNs = 1.70;
-    d.dispatchLatencyNs = 1800;
-    d.atomicNsEach = 2.0;
-    d.deviceHeapBytes = 4ull << 30;
-    d.hostVisibleHeapBytes = 16ull << 30;
-    d.hostCopyBwGBs = 12.0;
-    d.unifiedMemory = false;
-    d.maxPushBytes = 128; // paper Sec. VI-B
-    d.maxWorkgroupInvocations = 1024;
-    d.computeQueueCount = 4;
-    d.transferQueueCount = 2;
-
-    DriverProfile &vk = d.apis[static_cast<int>(Api::Vulkan)];
-    vk.available = true;
-    vk.version = "API Version 1.0.37";
-    vk.submitOverheadNs = 11000;
-    vk.syncWakeupNs = 15000;
-    vk.pipelineCompileNsPerInsn = 10000;
-    vk.dispatchSetupNs = 1500;
-    vk.barrierNs = 1500;
-    vk.bindPipelineNs = 1300;
-    vk.bindDescSetNs = 1000;
-    vk.pushConstantNs = 160;
-    vk.localMemPromotion = false;
-    vk.codeQuality = 1.0;
-    vk.memEfficiency = 0.791; // measured unit stride -> 71.6 % (Fig. 1b)
-    vk.txEfficiency = 1.05;
-
-    DriverProfile &cl = d.apis[static_cast<int>(Api::OpenCl)];
-    cl.available = true;
-    cl.version = "OpenCL 2.0";
-    // AMDGPU-Pro's CL stack has a leaner submission path than NVIDIA's:
-    // the paper's RX560 geomean (1.26x) is visibly smaller than the
-    // GTX1050Ti one (1.66x).
-    cl.launchOverheadNs = 6000;
-    cl.syncWakeupNs = 16000;
-    cl.jitBuildNsPerInsn = 110000;
-    cl.dispatchSetupNs = 1200;
-    cl.localMemPromotion = true;
-    cl.codeQuality = 1.0;
-    cl.memEfficiency = 0.758; // measured unit stride -> 71.5 % (Fig. 1b)
-    cl.txEfficiency = 1.0;
-
-    // No CUDA on AMD hardware.
-    d.apis[static_cast<int>(Api::Cuda)].available = false;
-    return d;
-}
-
-DeviceSpec
-makeAdreno506()
-{
-    DeviceSpec d;
-    d.name = "Qualcomm Adreno 506";
-    d.vendor = "Qualcomm";
-    d.platform = "Snapdragon 625, ARM Cortex A53 x8, Android 7.0";
-    d.mobile = true;
-    d.computeUnits = 2;
-    d.simdWidth = 32;
-    d.warpWidth = 64;
-    d.clockGhz = 0.65;
-    d.peakBwGBs = 3.7; // LPDDR3 share available to the GPU
-    d.sharedBwGBs = 40.0;
-    d.cacheLineBytes = 64;
-    d.txPerNs = 0.050;
-    d.dispatchLatencyNs = 9000;
-    d.atomicNsEach = 12.0;
-    d.deviceHeapBytes = 512ull << 20;
-    d.hostVisibleHeapBytes = 512ull << 20;
-    d.hostCopyBwGBs = 3.0; // unified memory: copies run at DRAM speed
-    d.unifiedMemory = true;
-    d.maxPushBytes = 128; // paper Sec. VI-B: 128 B on both mobiles
-    d.maxWorkgroupInvocations = 512;
-    d.computeQueueCount = 1;
-    d.transferQueueCount = 1;
-
-    DriverProfile &vk = d.apis[static_cast<int>(Api::Vulkan)];
-    vk.available = true;
-    vk.version = "API Version 1.0.20";
-    vk.submitOverheadNs = 55000;
-    vk.syncWakeupNs = 70000;
-    vk.pipelineCompileNsPerInsn = 25000;
-    vk.dispatchSetupNs = 10000;
-    vk.barrierNs = 6000;
-    // Re-binding a different compute pipeline thrashes the young
-    // driver: benchmarks switching pipelines every iteration
-    // (gaussian, lud, cfd, bfs) lose, while single-pipeline ones
-    // (pathfinder) keep their command-buffer advantage -- matching
-    // Fig. 4b where only pathfinder speeds up.
-    vk.bindPipelineNs = 45000;
-    vk.bindDescSetNs = 12000;
-    vk.pushConstantNs = 500;
-    // Shared-memory kernels compile poorly on this driver.
-    vk.sharedKernelTimeDerate = 2.0;
-    // Paper Sec. V-B1: the driver appears to treat push constants as
-    // ordinary storage-buffer rebinds.
-    vk.pushConstantsAsBufferBind = true;
-    vk.localMemPromotion = false;
-    // Immature Vulkan driver (paper Sec. V-B2: geomean 0.83x, "can be
-    // related to the immaturity of the Vulkan drivers on this platform").
-    vk.codeQuality = 0.76;
-    vk.memEfficiency = 0.91;
-    vk.txEfficiency = 1.02;
-
-    DriverProfile &cl = d.apis[static_cast<int>(Api::OpenCl)];
-    cl.available = true;
-    cl.version = "OpenCL 2.0";
-    cl.launchOverheadNs = 30000;
-    cl.syncWakeupNs = 60000;
-    cl.jitBuildNsPerInsn = 500000;
-    cl.dispatchSetupNs = 3000;
-    cl.localMemPromotion = true;
-    cl.codeQuality = 1.0;
-    cl.memEfficiency = 0.92;
-    cl.txEfficiency = 1.0;
-    // Paper Sec. V-B2: "on Snapdragon only the lud OpenCL failed
-    // because of driver issues".
-    cl.brokenKernels = {"lud"};
-
-    d.apis[static_cast<int>(Api::Cuda)].available = false;
-    return d;
-}
-
-DeviceSpec
-makePowervrG6430()
-{
-    DeviceSpec d;
-    d.name = "Imagination PowerVR Rogue G6430";
-    d.vendor = "Imagination";
-    d.platform = "Google Nexus Player, Intel Atom x4, Android 7.1";
-    d.mobile = true;
-    d.computeUnits = 4;
-    d.simdWidth = 32;
-    d.warpWidth = 32;
-    d.clockGhz = 0.533;
-    // Paper Fig. 3a: 2.85 GB/s is 89 % of peak => peak = 3.2 GB/s.
-    d.peakBwGBs = 3.2;
-    d.sharedBwGBs = 35.0;
-    d.cacheLineBytes = 64;
-    d.txPerNs = 0.047;
-    d.dispatchLatencyNs = 8000;
-    d.atomicNsEach = 14.0;
-    d.deviceHeapBytes = 384ull << 20;
-    d.hostVisibleHeapBytes = 384ull << 20;
-    d.hostCopyBwGBs = 2.6;
-    d.unifiedMemory = true;
-    d.maxPushBytes = 128;
-    d.maxWorkgroupInvocations = 512;
-    d.computeQueueCount = 1;
-    d.transferQueueCount = 1;
-
-    DriverProfile &vk = d.apis[static_cast<int>(Api::Vulkan)];
-    vk.available = true;
-    vk.version = "API Version 1.0.30";
-    vk.submitOverheadNs = 25000;
-    vk.syncWakeupNs = 35000;
-    vk.pipelineCompileNsPerInsn = 22000;
-    vk.dispatchSetupNs = 2500;
-    vk.barrierNs = 1500;
-    vk.bindPipelineNs = 5000;
-    vk.bindDescSetNs = 4000;
-    vk.pushConstantNs = 400;
-    vk.localMemPromotion = false;
-    vk.codeQuality = 0.97;
-    vk.memEfficiency = 0.90; // measured unit stride -> 2.69 GB/s (Fig. 3a)
-    vk.txEfficiency = 1.05;  // Fig. 3a: Vulkan slightly ahead above 4 B
-    // Paper Sec. V-B2: hotspot is the one Nexus benchmark where
-    // Vulkan does not win; the paper gives no mechanism, so it is
-    // modelled as a per-kernel execution derate in this driver.
-    vk.kernelTimeDerates = {{"hotspot", 2.2}};
-    // Paper Sec. V-B2: "the backprop OpenCL and Vulkan implementations
-    // failed to run on Nexus".
-    vk.brokenKernels = {"backprop"};
-
-    DriverProfile &cl = d.apis[static_cast<int>(Api::OpenCl)];
-    cl.available = true;
-    cl.version = "OpenCL 1.2 (libpvrcpt.so)";
-    cl.launchOverheadNs = 35000;
-    cl.syncWakeupNs = 70000;
-    cl.jitBuildNsPerInsn = 550000;
-    cl.dispatchSetupNs = 2000;
-    cl.localMemPromotion = true;
-    cl.codeQuality = 1.0;
-    cl.memEfficiency = 0.953; // measured unit stride -> 2.85 GB/s (Fig. 3a)
-    cl.txEfficiency = 1.0;
-    cl.brokenKernels = {"backprop"};
-
-    d.apis[static_cast<int>(Api::Cuda)].available = false;
-    return d;
-}
-
-} // namespace
+/** The embedded devices/<stem>.dev texts, in VCB_BUILTIN_DEVICES order,
+ *  null-terminated (generated builtin_devices.cc). */
+extern const char *const kBuiltinDeviceTexts[];
 
 const std::vector<DeviceSpec> &
 deviceRegistry()
 {
-    static const std::vector<DeviceSpec> registry = {
-        makeGtx1050Ti(),
-        makeRx560(),
-        makeAdreno506(),
-        makePowervrG6430(),
-    };
+    static const std::vector<DeviceSpec> registry = [] {
+        std::vector<DeviceSpec> devices;
+        for (const char *const *text = kBuiltinDeviceTexts; *text;
+             ++text) {
+            std::string err;
+            std::optional<DeviceSpec> spec = parseDevice(*text, &err);
+            // The texts are build data, not user input.
+            if (!spec)
+                panic("built-in device spec %zu: %s", devices.size(),
+                      err.c_str());
+            devices.push_back(std::move(*spec));
+        }
+        return devices;
+    }();
     return registry;
 }
 
@@ -382,15 +99,56 @@ ScopedDeviceRegistry::devices() const
     return activeStorage;
 }
 
+namespace {
+/** The form device names are matched in: lower-case letters and
+ *  digits only, so "adreno640" finds "Qualcomm Adreno 640". */
+std::string
+nameKey(const std::string &name)
+{
+    std::string key;
+    for (char c : name)
+        if (std::isalnum(static_cast<unsigned char>(c)))
+            key += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+    return key;
+}
+} // namespace
+
+const DeviceSpec *
+findDevice(const std::string &name, std::string *why)
+{
+    const std::string needle = nameKey(name);
+    const DeviceSpec *match = nullptr;
+    size_t matches = 0;
+    std::string candidates;
+    for (const DeviceSpec &d : activeDeviceRegistry()) {
+        const std::string key = nameKey(d.name);
+        if (key == needle)
+            return &d;
+        if (key.find(needle) != std::string::npos) {
+            candidates += (matches++ ? ", " : "") + d.name;
+            match = &d;
+        }
+    }
+    if (matches == 1 && !needle.empty())
+        return match;
+    if (why && matches == 0)
+        *why = strprintf("no device matching '%s' in the registry",
+                         name.c_str());
+    else if (why)
+        *why = strprintf("device name '%s' is ambiguous: it matches %s",
+                         name.c_str(), candidates.c_str());
+    return nullptr;
+}
+
 const DeviceSpec &
 deviceByName(const std::string &name)
 {
-    std::string needle = toLower(name);
-    for (const auto &d : activeDeviceRegistry()) {
-        if (toLower(d.name).find(needle) != std::string::npos)
-            return d;
-    }
-    fatal("no device matching '%s' in the registry", name.c_str());
+    std::string why;
+    const DeviceSpec *d = findDevice(name, &why);
+    if (!d)
+        fatal("%s", why.c_str());
+    return *d;
 }
 
 const DeviceSpec &

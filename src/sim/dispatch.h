@@ -46,12 +46,6 @@ ExecTier executorOverride();
  *  re-read VCB_EXECUTOR). */
 void setExecutorOverride(ExecTier t);
 
-/** Lane-block width W for the block/trace tiers: VCB_BLOCK_W, one of
- *  4/8/16 (default 8), cached on first use. */
-uint32_t blockWidth();
-/** Test hook: force W (0 = back to env/default). */
-void setBlockWidth(uint32_t w);
-
 /** A storage buffer as seen by the interpreter: a span of words. */
 struct BufferBinding
 {

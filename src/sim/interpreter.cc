@@ -158,7 +158,6 @@ Interpreter::prepare(const DispatchContext &new_ctx)
     pcs.resize(localCount);
     shared.resize(kernel->module.sharedWords);
     tier = effectiveExecTier(*kernel->micro);
-    bw = blockWidth();
 
     // Local-invocation ids per lane, computed once per dispatch: the
     // three divisions per lane entry were measurable at small kernels.
@@ -230,13 +229,16 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
         else if (t == ExecTier::LaneMajor)
             runPhase<false>(0, localCount, wx, wy, wz, ws, nullptr,
                             done, at_barrier);
+        else if (uniform && t == ExecTier::Trace)
+            runPhaseWg<kBlockW, true>(pcs[0], wx, wy, wz, ws, done,
+                                      at_barrier);
         else if (uniform)
-            runPhaseWgDyn(t == ExecTier::Trace, pcs[0], wx, wy, wz, ws,
-                          done, at_barrier);
+            runPhaseWg<kBlockW, false>(pcs[0], wx, wy, wz, ws, done,
+                                       at_barrier);
         else
             // Scattered resume points (lanes released from different
             // barriers): per-block containment from the saved pcs.
-            runPhaseBlocksDyn(wx, wy, wz, ws, done, at_barrier);
+            runPhaseBlocks<kBlockW>(wx, wy, wz, ws, done, at_barrier);
         if (at_barrier == 0)
             break;
         if (done > 0) {
@@ -1823,25 +1825,6 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
 #undef BUN
 #undef BCMPBR
 
-void
-Interpreter::runPhaseBlocksDyn(uint32_t wx, uint32_t wy, uint32_t wz,
-                               WorkgroupStats &ws, uint32_t &done_out,
-                               uint32_t &barrier_out)
-{
-    switch (bw) {
-      case 4:
-        runPhaseBlocks<4>(wx, wy, wz, ws, done_out, barrier_out);
-        break;
-      case 16:
-        runPhaseBlocks<16>(wx, wy, wz, ws, done_out, barrier_out);
-        break;
-      default:
-        runPhaseBlocks<8>(wx, wy, wz, ws, done_out, barrier_out);
-        break;
-    }
-}
-
-
 /** Lane vector of register x (contiguous, reg-major file). */
 #define V(x) (regs0 + static_cast<size_t>(x) * lc)
 /** Element-wise binary op handler for the whole-workgroup op-major
@@ -2551,39 +2534,5 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
 #undef VBIN
 #undef VUN
 #undef VCMPBR
-
-void
-Interpreter::runPhaseWgDyn(bool trace, uint32_t start_pc, uint32_t wx,
-                           uint32_t wy, uint32_t wz, WorkgroupStats &ws,
-                           uint32_t &done_out, uint32_t &barrier_out)
-{
-    switch (bw) {
-      case 4:
-        if (trace)
-            runPhaseWg<4, true>(start_pc, wx, wy, wz, ws, done_out,
-                                barrier_out);
-        else
-            runPhaseWg<4, false>(start_pc, wx, wy, wz, ws, done_out,
-                                 barrier_out);
-        break;
-      case 16:
-        if (trace)
-            runPhaseWg<16, true>(start_pc, wx, wy, wz, ws, done_out,
-                                 barrier_out);
-        else
-            runPhaseWg<16, false>(start_pc, wx, wy, wz, ws, done_out,
-                                  barrier_out);
-        break;
-      default:
-        if (trace)
-            runPhaseWg<8, true>(start_pc, wx, wy, wz, ws, done_out,
-                                barrier_out);
-        else
-            runPhaseWg<8, false>(start_pc, wx, wy, wz, ws, done_out,
-                                 barrier_out);
-        break;
-    }
-}
-
 
 } // namespace vcb::sim

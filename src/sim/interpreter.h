@@ -84,6 +84,10 @@ class Interpreter
         uint32_t x, y, z;
     };
 
+    /** Lane-block width W of the block/trace tiers.  Widths 4 and 16
+     *  measured no faster on the full mix. */
+    static constexpr uint32_t kBlockW = 8;
+
     /**
      * Execute one barrier phase lane-by-lane for lanes in
      * [lane_begin, lane_end): every lane runs from pcs[lane] until Ret
@@ -117,11 +121,6 @@ class Interpreter
                     uint32_t wz, WorkgroupStats &ws, uint32_t &done_out,
                     uint32_t &barrier_out);
 
-    /** Dispatch runPhaseWg on the run-time block width `bw`. */
-    void runPhaseWgDyn(bool trace, uint32_t start_pc, uint32_t wx,
-                       uint32_t wy, uint32_t wz, WorkgroupStats &ws,
-                       uint32_t &done_out, uint32_t &barrier_out);
-
     /**
      * Phase continuation over fixed-width lane blocks, resuming from
      * the per-lane pcs: each block of W lanes whose pcs agree runs the
@@ -137,11 +136,6 @@ class Interpreter
     void runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                         WorkgroupStats &ws, uint32_t &done_out,
                         uint32_t &barrier_out);
-
-    /** Dispatch runPhaseBlocks on the run-time block width `bw`. */
-    void runPhaseBlocksDyn(uint32_t wx, uint32_t wy, uint32_t wz,
-                           WorkgroupStats &ws, uint32_t &done_out,
-                           uint32_t &barrier_out);
 
     /**
      * Execute one superop (see SuperKind in microop.h) over lanes
@@ -159,8 +153,6 @@ class Interpreter
     uint32_t localCount = 0;
     /** Non-instrumented tier for this dispatch (effectiveExecTier). */
     ExecTier tier = ExecTier::Block;
-    /** Lane-block width W for the block/trace tiers. */
-    uint32_t bw = 8;
 
     std::vector<uint32_t> regs;   ///< localCount x regCount
     std::vector<uint32_t> pcs;    ///< per-lane program counter

@@ -1254,8 +1254,6 @@ namespace {
 /** Cached VCB_EXECUTOR: Count+1 = not read yet, Count = auto. */
 std::atomic<uint8_t> g_forced_tier{static_cast<uint8_t>(ExecTier::Count) +
                                    1};
-/** Cached VCB_BLOCK_W (0 = not read yet). */
-std::atomic<uint32_t> g_block_w{0};
 /** Cached VCB_SUPEROPS state: -1 = not read yet, else 0/1. */
 std::atomic<int> g_superops{-1};
 /** The options compileKernel lowers with (setCompileLowerOptions). */
@@ -1331,30 +1329,6 @@ setCompileLowerOptions(const LowerOptions &opt)
 {
     std::lock_guard<std::mutex> lk(g_lower_mtx);
     g_lower = opt;
-}
-
-uint32_t
-blockWidth()
-{
-    uint32_t w = g_block_w.load(std::memory_order_relaxed);
-    if (w == 0) {
-        w = 8;
-        if (const char *env = std::getenv("VCB_BLOCK_W")) {
-            w = static_cast<uint32_t>(std::atoi(env));
-            if (w != 4 && w != 8 && w != 16)
-                fatal("VCB_BLOCK_W=%s is not one of 4/8/16", env);
-        }
-        g_block_w.store(w, std::memory_order_relaxed);
-    }
-    return w;
-}
-
-void
-setBlockWidth(uint32_t w)
-{
-    VCB_ASSERT(w == 0 || w == 4 || w == 8 || w == 16,
-               "block width %u is not one of 4/8/16", w);
-    g_block_w.store(w, std::memory_order_relaxed);
 }
 
 ExecTier

@@ -255,7 +255,6 @@ struct KnobGuard
     ~KnobGuard()
     {
         sim::setExecutorOverride(sim::ExecTier::Count);
-        sim::setBlockWidth(0);
         sim::setSuperopsEnabled(-1);
         sim::setCompileLowerOptions({});
     }

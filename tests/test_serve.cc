@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
 #include <thread>
 #include <vector>
 
 #include "serve/serve.h"
 #include "sim/compile_cache.h"
+#include "sim/device_file.h"
 #include "sim/kernel.h"
 #include "spirv/builder.h"
 
@@ -432,6 +434,30 @@ TEST(ServeSessionTest, RegistriesAreIsolatedPerSession)
     ASSERT_TRUE(direct.ok) << direct.error;
     EXPECT_EQ(ra.resultHash, direct.resultHash);
     EXPECT_EQ(ra.kernelRegionNs, direct.kernelRegionNs);
+}
+
+/** A device name must pick one device: under the full spec directory
+ *  "adreno" matches both Adreno parts and "" matches every part, so
+ *  both requests are rejected with the candidates instead of running
+ *  on whichever part the registry lists first. */
+TEST(ServeSessionTest, RejectsEmptyAndAmbiguousDeviceNames)
+{
+    const char *dir = std::getenv("VCB_DEVICES_DIR");
+    if (!dir)
+        GTEST_SKIP() << "VCB_DEVICES_DIR not set";
+    sim::ScopedDeviceRegistry reg(sim::loadDeviceDir(dir));
+    for (const char *device : {"adreno", ""}) {
+        Request r;
+        r.bench = "bfs";
+        r.device = device;
+        Response resp = executeRequest(r);
+        EXPECT_FALSE(resp.ok) << "device '" << device << "'";
+        EXPECT_NE(resp.error.find("ambiguous"), std::string::npos)
+            << resp.error;
+        EXPECT_NE(resp.error.find("Qualcomm Adreno 640"),
+                  std::string::npos)
+            << resp.error;
+    }
 }
 
 TEST(ServeSessionTest, DrainWaitsForEveryQueuedRequest)

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "sim/device.h"
+#include "sim/device_file.h"
 #include "sim/kernel.h"
 #include "sim/sampler.h"
 #include "sim/timeline.h"
@@ -80,6 +83,29 @@ TEST(DeviceRegistry, LookupByName)
     EXPECT_EQ(&deviceByName("rx560"), &rx560());
     EXPECT_EQ(&deviceByName("Adreno"), &adreno506());
     EXPECT_GT(gtx1050ti().lanesPerNs(), 1000.0);
+}
+
+TEST(DeviceRegistry, LookupRejectsEmptyAndAmbiguousNames)
+{
+    const char *dir = std::getenv("VCB_DEVICES_DIR");
+    if (!dir)
+        GTEST_SKIP() << "VCB_DEVICES_DIR not set";
+    ScopedDeviceRegistry reg(loadDeviceDir(dir));
+
+    std::string why;
+    EXPECT_EQ(findDevice("adreno", &why), nullptr);
+    EXPECT_NE(why.find("Qualcomm Adreno 506"), std::string::npos) << why;
+    EXPECT_NE(why.find("Qualcomm Adreno 640"), std::string::npos) << why;
+    why.clear();
+    EXPECT_EQ(findDevice("", &why), nullptr);
+    EXPECT_NE(why.find("ambiguous"), std::string::npos) << why;
+
+    const DeviceSpec *d = findDevice("adreno640");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->name, "Qualcomm Adreno 640");
+    d = findDevice("Qualcomm Adreno 506");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->name, "Qualcomm Adreno 506");
 }
 
 TEST(DeviceRegistry, KernelTimeFactors)

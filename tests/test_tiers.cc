@@ -1,11 +1,10 @@
-/** @file Tier-equivalence: the executor tier, the lane-block width
- *  and superop formation are host-speed knobs ONLY.  Every replay
- *  workload runs under each forced VCB_EXECUTOR tier, each supported
- *  VCB_BLOCK_W, and with VCB_SUPEROPS disabled, demanding bit-identical
- *  host arrays, per-dispatch DispatchStats and simulated kernelNs
- *  against the auto-tier reference run — including the
+/** @file Tier-equivalence: the executor tier and superop formation
+ *  are host-speed knobs ONLY.  Every replay workload runs under each
+ *  forced VCB_EXECUTOR tier and with VCB_SUPEROPS disabled, demanding
+ *  bit-identical host arrays, per-dispatch DispatchStats and simulated
+ *  kernelNs against the auto-tier reference run — including the
  *  divergence-heavy workloads whose mid-phase branches exercise the
- *  block tier's bail-to-lane-major path at every width. */
+ *  block tier's bail-to-lane-major path. */
 
 #include <gtest/gtest.h>
 
@@ -58,28 +57,6 @@ TEST_P(TierEquivalence, ForcedTiersMatchAuto)
         expectSameReplay(ref, out,
                          w.name + " under forced tier " +
                              sim::execTierName(tier));
-    }
-}
-
-/** W is a host-vectorization knob: every supported lane-block width
- *  must produce identical results, including workloads that diverge
- *  mid-block and bail partial blocks to the lane-major executor. */
-TEST_P(TierEquivalence, BlockWidthNeverChangesResults)
-{
-    Workload w = replayWorkload(GetParam());
-    const sim::DeviceSpec &dev = sim::gtx1050ti();
-    KnobGuard guard;
-
-    Replay ref = replay(w, dev, sim::Api::Vulkan);
-    ASSERT_TRUE(ref.result.ok) << ref.result.skipReason;
-
-    for (uint32_t width : {4u, 8u, 16u}) {
-        sim::setBlockWidth(width);
-        Replay out = replay(w, dev, sim::Api::Vulkan);
-        sim::setBlockWidth(0);
-        expectSameReplay(ref, out,
-                         w.name + " at block width " +
-                             std::to_string(width));
     }
 }
 

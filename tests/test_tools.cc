@@ -2,7 +2,8 @@
  *  vcb_run benchmark execution, vcb_disasm on builder-generated
  *  modules, and vcb_serve's error responses.  CTest points VCB_RUN_BIN
  *  / VCB_DISASM_BIN / VCB_SERVE_BIN at the built executables; the tests
- *  skip when run outside the build harness. */
+ *  skip when run outside the build harness.  Also: numeric flags
+ *  reject trailing junk. */
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,16 @@ TEST_F(ToolsSmoke, RunRejectsUnknownFlag)
     std::string out;
     EXPECT_NE(runCapture(vcbRun + " --no-such-flag", &out), 0);
     EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+}
+
+TEST_F(ToolsSmoke, NumericFlagsRejectTrailingJunk)
+{
+    // A bare strtol reads "2x" as 2 and "abc" as 0.
+    std::string out;
+    EXPECT_NE(runCapture(vcbServe + " --sessions 2x < /dev/null", &out), 0);
+    EXPECT_NE(out.find("--sessions"), std::string::npos) << out;
+    EXPECT_NE(runCapture(vcbRun + " --bench nn --size abc", &out), 0);
+    EXPECT_NE(out.find("--size"), std::string::npos) << out;
 }
 
 TEST_F(ToolsSmoke, DisasmListsEveryKernel)

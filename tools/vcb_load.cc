@@ -53,7 +53,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -729,18 +731,24 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--requests")
-            requests = std::strtoul(next().c_str(), nullptr, 10);
+            requests = parseCount("--requests", next(), 1, 1000000);
         else if (arg == "--clients")
-            clients = (unsigned)std::strtoul(next().c_str(), nullptr,
-                                             10);
+            clients =
+                static_cast<unsigned>(parseCount("--clients", next(), 1, 256));
         else if (arg == "--sessions")
-            sessions = (unsigned)std::strtoul(next().c_str(), nullptr,
-                                              10);
+            sessions =
+                static_cast<unsigned>(parseCount("--sessions", next(), 1, 64));
         else if (arg == "--seed")
-            seed = std::strtoull(next().c_str(), nullptr, 10);
-        else if (arg == "--rate")
-            rate_rps = std::strtod(next().c_str(), nullptr);
-        else if (arg == "--quick")
+            seed = parseCount("--seed", next(), 0, UINT64_MAX);
+        else if (arg == "--rate") {
+            std::string v = next();
+            char *end = nullptr;
+            rate_rps = std::strtod(v.c_str(), &end);
+            if (v.empty() || *end != '\0' || !std::isfinite(rate_rps) ||
+                rate_rps < 0)
+                fatal("invalid --rate '%s' (want requests/s >= 0)",
+                      v.c_str());
+        } else if (arg == "--quick")
             requests = 36;
         else if (arg == "--devices")
             devices_dir = next();
@@ -753,8 +761,6 @@ main(int argc, char **argv)
             return arg == "--help" ? 0 : 1;
         }
     }
-    if (requests == 0 || clients == 0 || sessions == 0)
-        fatal("--requests, --clients and --sessions must be positive");
 
     // A dying server must surface as read EOF / failed requests, not
     // as a SIGPIPE kill while writing to it.

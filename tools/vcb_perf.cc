@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/strutil.h"
 #include "harness/sweep.h"
 #include "sim/engine.h"
 #include "suite/benchmark.h"
@@ -202,17 +203,10 @@ main(int argc, char **argv)
             quick = true;
         else if (arg == "--suite")
             suite_mode = true;
-        else if (arg == "--repeat") {
-            repeat = std::atoi(next().c_str());
-            if (repeat < 1)
-                fatal("--repeat needs a positive count");
-        }
-        else if (arg == "--jobs") {
-            int n = std::atoi(next().c_str());
-            if (n < 1 || n > 256)
-                fatal("--jobs needs a count in 1..256");
-            jobs = static_cast<unsigned>(n);
-        }
+        else if (arg == "--repeat")
+            repeat = static_cast<int>(parseCount("--repeat", next(), 1, 1000));
+        else if (arg == "--jobs")
+            jobs = static_cast<unsigned>(parseCount("--jobs", next(), 1, 256));
         else if (arg == "--device")
             device_name = next();
         else if (arg == "--api")

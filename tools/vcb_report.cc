@@ -22,9 +22,6 @@
  *                                   # tracked as BENCH_report.json
  *   vcb_report --quick              # smoke: build everything at dry
  *                                   # scale, print a one-line verdict
- *   vcb_report --write-builtin-specs DIR
- *                                   # serialize the four compiled-in
- *                                   # paper devices as spec files
  *
  * --devices DIR (default "devices") selects the spec directory.  The
  * standalone bench/fig* and bench/tab* binaries print the same
@@ -35,7 +32,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -45,7 +41,7 @@
 #include "common/logging.h"
 #include "common/strutil.h"
 #include "harness/report_book.h"
-#include "sim/device_file.h"
+#include "sim/device.h"
 #include "suite/benchmark.h"
 
 using namespace vcb;
@@ -58,7 +54,7 @@ usage()
     std::printf(
         "usage: vcb_report [--devices DIR] [--dry-run] [--quick]\n"
         "                  [--out DIR] [--check FILE] [--suite-json]\n"
-        "                  [--jobs N] [--write-builtin-specs DIR]\n"
+        "                  [--jobs N]\n"
         "  --jobs N   sweep-executor worker sessions (default:\n"
         "             VCB_REPORT_JOBS, else hardware concurrency);\n"
         "             output is byte-identical at any job count\n");
@@ -84,24 +80,6 @@ readFile(const std::string &path)
     std::ostringstream text;
     text << in.rdbuf();
     return text.str();
-}
-
-int
-writeBuiltinSpecs(const std::string &dir)
-{
-    std::filesystem::create_directories(dir);
-    const std::pair<const char *, const sim::DeviceSpec &> parts[] = {
-        {"gtx1050ti", sim::gtx1050ti()},
-        {"rx560", sim::rx560()},
-        {"adreno506", sim::adreno506()},
-        {"powervr_g6430", sim::powervrG6430()},
-    };
-    for (const auto &[stem, dev] : parts) {
-        std::string path = dir + "/" + stem + ".dev";
-        writeFile(path, sim::serializeDevice(dev));
-        std::printf("wrote %s (%s)\n", path.c_str(), dev.name.c_str());
-    }
-    return 0;
 }
 
 /** Report the first differing line of a --check mismatch. */
@@ -138,7 +116,6 @@ main(int argc, char **argv)
     std::string devices_dir = "devices";
     std::string out_dir;
     std::string check_file;
-    std::string write_specs_dir;
     bool dry_run = false;
     bool quick = false;
     bool suite_json = false;
@@ -163,23 +140,13 @@ main(int argc, char **argv)
             check_file = next();
         else if (arg == "--suite-json")
             suite_json = true;
-        else if (arg == "--jobs") {
-            std::string v = next();
-            char *end = nullptr;
-            long n = std::strtol(v.c_str(), &end, 10);
-            if (!end || *end != '\0' || n < 1 || n > 256)
-                fatal("invalid --jobs '%s' (want 1..256)", v.c_str());
-            jobs = static_cast<unsigned>(n);
-        } else if (arg == "--write-builtin-specs")
-            write_specs_dir = next();
+        else if (arg == "--jobs")
+            jobs = static_cast<unsigned>(parseCount("--jobs", next(), 1, 256));
         else {
             usage();
             return arg == "--help" ? 0 : 1;
         }
     }
-
-    if (!write_specs_dir.empty())
-        return writeBuiltinSpecs(write_specs_dir);
 
     // Load the spec files and install them as the registry the
     // runtime front-ends enumerate; all runs reference these objects.

@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -123,7 +122,7 @@ main(int argc, char **argv)
         else if (arg == "--api")
             api_str = next();
         else if (arg == "--size")
-            size_idx = std::strtoul(next().c_str(), nullptr, 10);
+            size_idx = parseCount("--size", next(), 0, 1000);
         else if (arg == "--params")
             params_str = next();
         else {

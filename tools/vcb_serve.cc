@@ -22,13 +22,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <mutex>
 #include <string>
 
 #include "common/logging.h"
+#include "common/strutil.h"
 #include "serve/serve.h"
 #include "sim/compile_cache.h"
 #include "sim/device_file.h"
@@ -90,10 +90,8 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--sessions") {
-            long v = std::strtol(next().c_str(), nullptr, 10);
-            if (v < 1 || v > 64)
-                fatal("--sessions must be in [1, 64]");
-            sessions = (unsigned)v;
+            sessions = static_cast<unsigned>(
+                parseCount("--sessions", next(), 1, 64));
         } else if (arg == "--devices") {
             devices_dir = next();
         } else if (arg == "--self-test") {
