@@ -980,7 +980,7 @@ renderResultsBook(const ReportBook &book)
            "(src/harness/sweep.h); every\n"
            "     number comes from simulated clocks, so this file is "
            "byte-identical\n"
-           "     at any --jobs / VCB_REPORT_JOBS worker count "
+           "     at any --jobs worker count "
            "(tests/test_sweep.cc\n"
            "     and the CI parallel-identity gate enforce it). "
            "-->\n\n";

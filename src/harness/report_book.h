@@ -222,8 +222,8 @@ struct ReportBook
 /**
  * Run the full report across `devices` (dry = shrunken sizes) on the
  * sweep executor: the run is enumerated as independent cells and
- * executed on `jobs` isolated engine sessions (0 = VCB_REPORT_JOBS,
- * else hardware concurrency — see sweep.h).  Output is byte-identical
+ * executed on `jobs` isolated engine sessions (0 = hardware
+ * concurrency — see sweep.h).  Output is byte-identical
  * at any job count; jobs only moves wall time.
  */
 ReportBook buildReportBook(const std::vector<sim::DeviceSpec> &devices,

@@ -30,18 +30,17 @@ LatencyRecorder::snapshot() const
     s.minNs = sorted.front();
     s.maxNs = sorted.back();
     s.meanNs = total / (double)sorted.size();
-    auto rank = [&](double q) {
-        // Nearest-rank: smallest sample with at least q of the mass
-        // at or below it.
+    auto rank = [&](size_t pct) {
+        // Nearest-rank: the smallest sample with at least pct% of the
+        // samples at or below it, sorted[ceil(pct * n / 100) - 1]
+        // (integer ceiling, so no float rounding moves the rank).
         size_t n = sorted.size();
-        size_t idx = (size_t)(q * (double)n);
-        if (idx >= n)
-            idx = n - 1;
-        return sorted[idx];
+        size_t r = (pct * n + 99) / 100;
+        return sorted[std::clamp<size_t>(r, 1, n) - 1];
     };
-    s.p50Ns = rank(0.50);
-    s.p95Ns = rank(0.95);
-    s.p99Ns = rank(0.99);
+    s.p50Ns = rank(50);
+    s.p95Ns = rank(95);
+    s.p99Ns = rank(99);
     return s;
 }
 

@@ -56,7 +56,7 @@ struct ServeMetrics
 {
     LatencyRecorder latency;
 
-    /** Run requests admitted to a session queue. */
+    /** Run requests admitted to the broker queue. */
     std::atomic<uint64_t> accepted{0};
     /** Completed with ok=true. */
     std::atomic<uint64_t> completed{0};

@@ -193,122 +193,35 @@ executeRequest(const Request &req, unsigned session)
 }
 
 // ---------------------------------------------------------------------------
-// ServeSession
-// ---------------------------------------------------------------------------
-
-ServeSession::ServeSession(unsigned id,
-                           std::vector<sim::DeviceSpec> devices,
-                           ServeMetrics *metrics)
-    : id_(id), devices_(std::move(devices)), metrics_(metrics),
-      thread([this] { threadLoop(); })
-{
-}
-
-ServeSession::~ServeSession()
-{
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        stopping = true;
-    }
-    cv.notify_all();
-    thread.join();
-}
-
-void
-ServeSession::enqueue(Request req, ResponseFn done)
-{
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        VCB_ASSERT(!stopping, "enqueue on a stopping session");
-        queue.emplace_back(std::move(req), std::move(done));
-    }
-    cv.notify_one();
-}
-
-void
-ServeSession::drain()
-{
-    std::unique_lock<std::mutex> lk(mtx);
-    cvIdle.wait(lk, [&] { return queue.empty() && !busy; });
-}
-
-size_t
-ServeSession::pending() const
-{
-    std::lock_guard<std::mutex> lk(mtx);
-    return queue.size() + (busy ? 1 : 0);
-}
-
-void
-ServeSession::threadLoop()
-{
-    // The session's private registry for the lifetime of the thread.
-    // Every front-end lookup below (vkm physical devices, OpenCL
-    // platform list) resolves against these objects and no others.
-    std::unique_ptr<sim::ScopedDeviceRegistry> reg;
-    if (!devices_.empty())
-        reg = std::make_unique<sim::ScopedDeviceRegistry>(devices_);
-
-    for (;;) {
-        std::pair<Request, ResponseFn> item;
-        {
-            std::unique_lock<std::mutex> lk(mtx);
-            cv.wait(lk, [&] { return stopping || !queue.empty(); });
-            if (queue.empty()) {
-                // stopping && drained: the destructor waits in join,
-                // so everything queued before it ran to completion.
-                return;
-            }
-            item = std::move(queue.front());
-            queue.pop_front();
-            busy = true;
-        }
-
-        auto t0 = std::chrono::steady_clock::now();
-        Response r = executeRequest(item.first, id_);
-        r.serviceNs = std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        if (metrics_) {
-            metrics_->latency.record(r.serviceNs);
-            if (r.ok)
-                ++metrics_->completed;
-            else
-                ++metrics_->errors;
-        }
-        if (item.second)
-            item.second(r);
-
-        {
-            std::lock_guard<std::mutex> lk(mtx);
-            busy = false;
-            if (queue.empty())
-                cvIdle.notify_all();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ServeBroker
 // ---------------------------------------------------------------------------
 
 ServeBroker::ServeBroker(BrokerConfig cfg)
+    : pool_(cfg.sessions, std::move(cfg.devices))
 {
-    unsigned n = cfg.sessions ? cfg.sessions : 1;
-    sessions_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        sessions_.push_back(std::make_unique<ServeSession>(
-            i, cfg.devices, &metrics_));
 }
 
 ServeBroker::~ServeBroker() = default;
 
 void
-ServeBroker::submit(Request req, ServeSession::ResponseFn done)
+ServeBroker::submit(Request req, ResponseFn done)
 {
     ++metrics_.accepted;
-    uint64_t slot = rr.fetch_add(1) % sessions_.size();
-    sessions_[slot]->enqueue(std::move(req), std::move(done));
+    pool_.submit([this, req = std::move(req),
+                  done = std::move(done)](unsigned session) {
+        auto t0 = std::chrono::steady_clock::now();
+        Response r = executeRequest(req, session);
+        r.serviceNs = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        metrics_.latency.record(r.serviceNs);
+        if (r.ok)
+            ++metrics_.completed;
+        else
+            ++metrics_.errors;
+        if (done)
+            done(r);
+    });
 }
 
 Response
@@ -323,8 +236,7 @@ ServeBroker::submitSync(const Request &req)
 void
 ServeBroker::drain()
 {
-    for (auto &s : sessions_)
-        s->drain();
+    pool_.drain();
 }
 
 std::string
@@ -342,7 +254,7 @@ ServeBroker::statsLine(const std::string &id) const
         return strprintf("%llu", (unsigned long long)v);
     };
     r.extra = {
-        {"sessions", cnt(sessions_.size())},
+        {"sessions", cnt(pool_.size())},
         {"accepted", cnt(metrics_.accepted.load())},
         {"completed", cnt(metrics_.completed.load())},
         {"errors", cnt(metrics_.errors.load())},

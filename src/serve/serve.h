@@ -1,23 +1,24 @@
 /**
  * @file
- * The serve layer: long-lived benchmark execution sessions.
+ * The serve layer: a broker of long-lived benchmark execution sessions.
  *
- * A ServeSession is one worker thread with its own request queue and
- * its OWN active device registry — the session installs a
- * ScopedDeviceRegistry on its thread (sim/device.h), so two sessions
- * configured with different device directories can never observe each
- * other's devices, and the runtime front-ends' raw DeviceSpec
- * pointers (vkm resolves physical devices by identity) always point
- * into the session's private storage.
+ * A ServeBroker queues run requests on a harness::SessionPool
+ * (harness/sweep.h), the worker-session pool the sweep executor runs
+ * on: N worker threads fed from one FIFO, so an idle session takes
+ * the next request at once.  Each worker runs under its OWN device
+ * registry — a ScopedDeviceRegistry copy (sim/device.h) — so requests
+ * on different sessions can never observe each other's devices, and
+ * the runtime front-ends' raw DeviceSpec pointers (vkm resolves
+ * physical devices by identity) always point into the executing
+ * session's private storage.
  *
- * A ServeBroker owns N sessions and shards incoming run requests over
- * them round-robin.  Execution itself is the ordinary golden path —
- * build the benchmark's declarative workload, hand it to the shared
- * API runners, validate against the CPU reference — so a served
- * result is bit-identical to what the same request produces serially
- * in vcb_run; executeRequest() is that path factored to be callable
- * from any thread, and hashHostArrays() turns the final host arrays
- * into the compact bit-identity handle the protocol carries.
+ * Execution itself is the ordinary golden path — build the
+ * benchmark's declarative workload, hand it to the shared API runners,
+ * validate against the CPU reference — so a served result is
+ * bit-identical to what the same request produces serially in
+ * vcb_run; executeRequest() is that path factored to be callable from
+ * any thread, and hashHostArrays() turns the final host arrays into
+ * the compact bit-identity handle the protocol carries.
  *
  * Repeated requests hit the content-addressed compile cache
  * (sim/compile_cache.h) under compileKernel, which is where the serve
@@ -28,16 +29,12 @@
 #ifndef VCB_SERVE_SERVE_H
 #define VCB_SERVE_SERVE_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "harness/sweep.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "sim/device.h"
@@ -58,69 +55,23 @@ uint64_t hashHostArrays(const suite::HostArrays &host);
  */
 Response executeRequest(const Request &req, unsigned session = 0);
 
-/** One session: a worker thread + queue + private device registry. */
-class ServeSession
-{
-  public:
-    using ResponseFn = std::function<void(const Response &)>;
-
-    /**
-     * @param id      session number (stamped into responses).
-     * @param devices this session's device registry; empty = the
-     *        compiled-in paper devices.
-     * @param metrics broker-wide counters to record into; may be null.
-     */
-    ServeSession(unsigned id, std::vector<sim::DeviceSpec> devices,
-                 ServeMetrics *metrics = nullptr);
-
-    /** Graceful drain: blocks until every queued request has been
-     *  executed and answered, then joins the worker. */
-    ~ServeSession();
-
-    ServeSession(const ServeSession &) = delete;
-    ServeSession &operator=(const ServeSession &) = delete;
-
-    /** Queue a run request; `done` fires on the session thread when
-     *  it completes. */
-    void enqueue(Request req, ResponseFn done);
-
-    /** Block until the queue is empty and the worker is idle. */
-    void drain();
-
-    size_t pending() const;
-    unsigned id() const { return id_; }
-
-  private:
-    void threadLoop();
-
-    unsigned id_;
-    std::vector<sim::DeviceSpec> devices_;
-    ServeMetrics *metrics_;
-
-    mutable std::mutex mtx;
-    std::condition_variable cv;
-    std::condition_variable cvIdle;
-    std::deque<std::pair<Request, ResponseFn>> queue;
-    bool stopping = false;
-    bool busy = false;
-
-    std::thread thread;
-};
-
 /** Broker construction parameters. */
 struct BrokerConfig
 {
     /** Engine-session pool size. */
     unsigned sessions = 4;
     /** Device registry installed in every session; empty = the
-     *  compiled-in paper devices. */
+     *  constructing thread's active registry (the compiled-in paper
+     *  devices unless that thread installed an override). */
     std::vector<sim::DeviceSpec> devices;
 };
 
-/** N sessions + round-robin sharding + shared metrics. */
+/** N sessions on one request FIFO + shared metrics. */
 class ServeBroker
 {
   public:
+    using ResponseFn = std::function<void(const Response &)>;
+
     explicit ServeBroker(BrokerConfig cfg = {});
     /** Drains every session (graceful shutdown). */
     ~ServeBroker();
@@ -128,15 +79,15 @@ class ServeBroker
     ServeBroker(const ServeBroker &) = delete;
     ServeBroker &operator=(const ServeBroker &) = delete;
 
-    /** Shard a run request to the next session; `done` fires on that
-     *  session's thread. */
-    void submit(Request req, ServeSession::ResponseFn done);
+    /** Queue a run request; the next idle session executes it and
+     *  `done` fires on that session's thread.  Never blocks. */
+    void submit(Request req, ResponseFn done);
 
-    /** Convenience for synchronous clients (vcb_load closed loop,
-     *  tests): submit and block for the response. */
+    /** Convenience for synchronous clients (closed-loop load
+     *  drivers, tests): submit and block for the response. */
     Response submitSync(const Request &req);
 
-    /** Block until every session is idle. */
+    /** Block until the queue is empty and every session is idle. */
     void drain();
 
     /** One flat-JSON stats line (the "stats" command's answer):
@@ -145,12 +96,13 @@ class ServeBroker
     std::string statsLine(const std::string &id) const;
 
     ServeMetrics &metrics() { return metrics_; }
-    unsigned sessionCount() const { return (unsigned)sessions_.size(); }
+    unsigned sessionCount() const { return pool_.size(); }
 
   private:
-    std::vector<std::unique_ptr<ServeSession>> sessions_;
-    std::atomic<uint64_t> rr{0};
+    /** Declared before the pool: the pool drains on destruction, and
+     *  its tasks record into the metrics. */
     ServeMetrics metrics_;
+    harness::SessionPool pool_;
 };
 
 /**

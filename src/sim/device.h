@@ -204,9 +204,9 @@ const std::vector<DeviceSpec> &deviceRegistry();
  *
  * The override is THREAD-SCOPED: each thread sees its own installed
  * registry (or the compiled-in default).  Tools that install one in
- * main() and run everything there behave exactly as before; serve
- * sessions (src/serve/) each install their own registry on their
- * worker thread, so concurrent sessions with different device
+ * main() and run everything there behave exactly as before; session
+ * pool workers (harness/sweep.h) each install their own registry on
+ * their thread, so concurrent sessions with different device
  * directories can never observe each other's devices.
  */
 const std::vector<DeviceSpec> &activeDeviceRegistry();
@@ -230,8 +230,8 @@ void clearActiveDeviceRegistry();
 /**
  * RAII registry override: installs `devices` on the calling thread for
  * the scope's lifetime, then restores the previous thread state
- * (a prior override's contents, or no override).  The serve layer
- * wraps every session worker in one of these.
+ * (a prior override's contents, or no override).  The session pool
+ * (harness/sweep.h) wraps every worker in one of these.
  */
 class ScopedDeviceRegistry
 {

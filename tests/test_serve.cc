@@ -1,13 +1,12 @@
 /** @file Serve layer: wire-protocol accept/reject, compile-cache
- *  keying/eviction/immutability, concurrent-client bit-identity
- *  against the serial golden path, per-session device-registry
- *  isolation and graceful drain. */
+ *  keying/eviction/immutability, nearest-rank latency percentiles,
+ *  concurrent-client bit-identity against the serial golden path,
+ *  per-session device-registry isolation and graceful drain. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -306,6 +305,36 @@ TEST(CompileCacheUnit, LookupsShareProgramButNeverAlias)
 }
 
 // ---------------------------------------------------------------------------
+// Latency percentiles
+// ---------------------------------------------------------------------------
+
+/** Nearest-rank: the q-th percentile of n samples is the
+ *  ceil(q * n)-th smallest. */
+TEST(LatencyRecorder, NearestRankPercentiles)
+{
+    LatencyRecorder hundred;
+    for (int v = 100; v >= 1; --v)
+        hundred.record(v);
+    LatencyRecorder::Snapshot s = hundred.snapshot();
+    EXPECT_EQ(s.count, 100u);
+    EXPECT_EQ(s.p50Ns, 50);
+    EXPECT_EQ(s.p95Ns, 95);
+    EXPECT_EQ(s.p99Ns, 99);
+
+    LatencyRecorder two;
+    two.record(2);
+    two.record(1);
+    EXPECT_EQ(two.snapshot().p50Ns, 1);
+
+    LatencyRecorder one;
+    one.record(7);
+    s = one.snapshot();
+    EXPECT_EQ(s.p50Ns, 7);
+    EXPECT_EQ(s.p95Ns, 7);
+    EXPECT_EQ(s.p99Ns, 7);
+}
+
+// ---------------------------------------------------------------------------
 // Broker: concurrent bit-identity, isolation, drain
 // ---------------------------------------------------------------------------
 
@@ -377,29 +406,24 @@ TEST(ServeBrokerTest, ConcurrentClientsMatchSerialBaseline)
     EXPECT_EQ(broker.metrics().latency.snapshot().count, mix.size());
 }
 
-TEST(ServeSessionTest, RegistriesAreIsolatedPerSession)
+TEST(ServeBrokerTest, RegistriesAreIsolatedPerSession)
 {
-    // Two sessions with disjoint single-device registries built from
-    // renamed copies of the paper parts.
+    // Two one-session brokers with disjoint single-device registries
+    // built from renamed copies of the paper parts.
     sim::DeviceSpec alpha = sim::gtx1050ti();
     alpha.name = "alpha-only";
     sim::DeviceSpec beta = sim::rx560();
     beta.name = "beta-only";
 
-    ServeSession sa(0, {alpha});
-    ServeSession sb(1, {beta});
+    ServeBroker sa(BrokerConfig{1, {alpha}});
+    ServeBroker sb(BrokerConfig{1, {beta}});
 
-    auto runOn = [](ServeSession &s, const char *device) {
+    auto runOn = [](ServeBroker &s, const char *device) {
         Request r;
         r.bench = "bfs";
         r.api = "vulkan";
         r.device = device;
-        std::promise<Response> prom;
-        auto fut = prom.get_future();
-        s.enqueue(r, [&prom](const Response &resp) {
-            prom.set_value(resp);
-        });
-        return fut.get();
+        return s.submitSync(r);
     };
 
     // Each session resolves its own device...
@@ -460,27 +484,26 @@ TEST(ServeSessionTest, RejectsEmptyAndAmbiguousDeviceNames)
     }
 }
 
-TEST(ServeSessionTest, DrainWaitsForEveryQueuedRequest)
+TEST(ServeBrokerTest, DrainWaitsForEveryQueuedRequest)
 {
     std::atomic<size_t> done{0};
     {
-        ServeSession s(0, {});
+        ServeBroker broker(BrokerConfig{2, {}});
         Request r;
         r.bench = "bfs";
         r.api = "cuda";
         for (int i = 0; i < 5; ++i)
-            s.enqueue(r, [&done](const Response &resp) {
+            broker.submit(r, [&done](const Response &resp) {
                 EXPECT_TRUE(resp.ok) << resp.error;
                 ++done;
             });
-        s.drain();
+        broker.drain();
         EXPECT_EQ(done.load(), 5u);
-        EXPECT_EQ(s.pending(), 0u);
 
         // Graceful shutdown: requests queued after the drain are
         // still answered before the destructor returns.
         for (int i = 0; i < 3; ++i)
-            s.enqueue(r, [&done](const Response &) { ++done; });
+            broker.submit(r, [&done](const Response &) { ++done; });
     }
     EXPECT_EQ(done.load(), 8u);
 }

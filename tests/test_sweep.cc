@@ -1,15 +1,16 @@
 /**
  * @file
  * Sweep-executor tests: byte-identity of the report book at any job
- * count, plan-order merge under adversarial completion schedules, and
- * per-worker device-registry isolation.
+ * count, plan-order merge under adversarial completion schedules,
+ * per-worker device-registry isolation, and the session pool's shared
+ * FIFO.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -27,24 +28,47 @@ namespace {
 
 TEST(ResolveSweepJobs, ExplicitRequestWins)
 {
-    setenv("VCB_REPORT_JOBS", "7", 1);
     EXPECT_EQ(resolveSweepJobs(3), 3u);
-    unsetenv("VCB_REPORT_JOBS");
 }
 
-TEST(ResolveSweepJobs, EnvFallback)
+TEST(ResolveSweepJobs, ZeroMeansHardwareConcurrency)
 {
-    setenv("VCB_REPORT_JOBS", "5", 1);
-    EXPECT_EQ(resolveSweepJobs(0), 5u);
-    unsetenv("VCB_REPORT_JOBS");
+    EXPECT_GE(resolveSweepJobs(0), 1u);
 }
 
-TEST(ResolveSweepJobs, InvalidEnvFallsBackToHardware)
+// --- session pool -----------------------------------------------------------
+
+/** An idle worker takes the next queued task at once.  Task 0 blocks
+ *  one worker until task 2 runs, so task 2 must run on the other
+ *  worker once it finishes task 1; a pool that bound task 2 to task
+ *  0's worker fails the wait instead of hanging. */
+TEST(SessionPool, IdleWorkerTakesNextTask)
 {
-    setenv("VCB_REPORT_JOBS", "banana", 1);
-    unsigned jobs = resolveSweepJobs(0);
-    unsetenv("VCB_REPORT_JOBS");
-    EXPECT_GE(jobs, 1u);
+    std::mutex mtx;
+    std::condition_variable cv;
+    bool released = false;
+    bool task0_released = false;
+    unsigned worker0 = 0, worker2 = 0;
+    {
+        SessionPool pool(2, {});
+        EXPECT_EQ(pool.size(), 2u);
+        pool.submit([&](unsigned worker) {
+            std::unique_lock<std::mutex> lk(mtx);
+            worker0 = worker;
+            task0_released = cv.wait_for(lk, std::chrono::seconds(20),
+                                         [&] { return released; });
+        });
+        pool.submit([](unsigned) {});
+        pool.submit([&](unsigned worker) {
+            std::lock_guard<std::mutex> lk(mtx);
+            worker2 = worker;
+            released = true;
+            cv.notify_all();
+        });
+        pool.drain();
+    }
+    EXPECT_TRUE(task0_released);
+    EXPECT_NE(worker0, worker2);
 }
 
 // --- plan-order merge -------------------------------------------------------

@@ -1,11 +1,13 @@
 /** @file Smoke tests for the tools/ binaries: vcb_run --list, a tiny
  *  vcb_run benchmark execution, vcb_disasm on builder-generated
- *  modules, and vcb_serve's error responses.  CTest points VCB_RUN_BIN
- *  / VCB_DISASM_BIN / VCB_SERVE_BIN at the built executables; the tests
+ *  modules, vcb_serve's error responses and vcb_load against a server
+ *  that exits.  CTest points VCB_RUN_BIN / VCB_DISASM_BIN /
+ *  VCB_SERVE_BIN / VCB_LOAD_BIN at the built executables; the tests
  *  skip when run outside the build harness.  Also: numeric flags
  *  reject trailing junk. */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,12 +45,14 @@ class ToolsSmoke : public ::testing::Test
         vcbRun = binFromEnv("VCB_RUN_BIN");
         vcbDisasm = binFromEnv("VCB_DISASM_BIN");
         vcbServe = binFromEnv("VCB_SERVE_BIN");
-        if (vcbRun.empty() || vcbDisasm.empty() || vcbServe.empty())
+        vcbLoad = binFromEnv("VCB_LOAD_BIN");
+        if (vcbRun.empty() || vcbDisasm.empty() || vcbServe.empty() ||
+            vcbLoad.empty())
             GTEST_SKIP() << "VCB_RUN_BIN / VCB_DISASM_BIN / VCB_SERVE_BIN "
-                            "not set (run via ctest)";
+                            "/ VCB_LOAD_BIN not set (run via ctest)";
     }
 
-    std::string vcbRun, vcbDisasm, vcbServe;
+    std::string vcbRun, vcbDisasm, vcbServe, vcbLoad;
 };
 
 TEST_F(ToolsSmoke, RunListShowsBenchmarksAndDevices)
@@ -182,6 +186,20 @@ TEST_F(ToolsSmoke, ServeRejectionKeepsTheRequestId)
     EXPECT_NE(error_line.find("\"id\": \"x7\""), std::string::npos)
         << error_line;
     EXPECT_NE(error_line.find("bogus"), std::string::npos) << error_line;
+}
+
+TEST_F(ToolsSmoke, LoadFailsFastWhenTheServerExits)
+{
+    // /bin/true exits at once: every request must fail with the reason
+    // instead of waiting forever for an answer no reader will deliver.
+    std::string out;
+    int status = runCapture("timeout 60 " + vcbLoad +
+                                " --quick --serve-bin /bin/true",
+                            &out);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_NE(WEXITSTATUS(status), 0) << out;
+    EXPECT_NE(WEXITSTATUS(status), 124) << "timed out: " << out;
+    EXPECT_NE(out.find("vcb_serve exited"), std::string::npos) << out;
 }
 
 } // namespace

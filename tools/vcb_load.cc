@@ -26,18 +26,17 @@
  *            [--rate R] [--quick] [--devices DIR] [--serve-bin PATH]
  *            [--no-gate]
  *
- * By default the mix runs in-process on the sweep executor
- * (src/harness/sweep.h): min(--clients, --sessions) worker sessions,
- * each with a private ScopedDeviceRegistry, execute requests directly
- * through serve::executeRequest — the closed loop IS the executor's
- * dynamic work queue.  --serve-bin spawns the given vcb_serve binary
- * and drives it over its stdin/stdout pipe protocol instead — the
- * same mix, phases and gates, end to end through the wire format.
- * --rate R switches from the closed loop (each worker/client waiting
- * for its response) to an open loop issuing R requests/second
- * regardless of completions; in-process, open-loop latency is
- * measured from each request's SCHEDULED issue slot, so worker
- * lateness counts as queueing delay (no coordinated omission).
+ * By default the mix runs in-process through a serve::ServeBroker of
+ * --sessions worker sessions — the same broker vcb_serve runs, minus
+ * the wire format.  --serve-bin spawns the given vcb_serve binary and
+ * drives it over its stdin/stdout pipe protocol instead — the same mix,
+ * phases and gates, end to end through the wire format.  --rate R
+ * switches from the closed loop (each of --clients clients waiting for
+ * its response) to an open loop issuing R requests/second regardless
+ * of completions.  On both transports latency counts from the instant
+ * a request is sent; sending never blocks, so in the open loop that
+ * instant is the request's scheduled slot up to sleep jitter, and
+ * session lateness counts as queueing delay (no coordinated omission).
  *
  * Every phase line's rate_rps field reports the ACTUALLY ACHIEVED
  * offered rate (inter-issue rate over the phase), not the configured
@@ -69,7 +68,6 @@
 
 #include "common/logging.h"
 #include "common/strutil.h"
-#include "harness/sweep.h"
 #include "serve/metrics.h"
 #include "serve/serve.h"
 #include "sim/compile_cache.h"
@@ -175,19 +173,54 @@ class Client
     virtual void drain() = 0;
 };
 
-/** In-process cache controls: the phases run in this process, so the
- *  knobs are direct CompileCache calls (the pipe path asks the spawned
- *  server instead). */
-void
-inProcCacheCounts(uint64_t *hits, uint64_t *misses,
-                  uint64_t *compile_calls, uint64_t *compile_cpu_ns)
+/** Drives an in-process ServeBroker. */
+class BrokerClient : public Client
 {
-    sim::CompileCacheStats s = sim::CompileCache::global().stats();
-    *hits = s.hits;
-    *misses = s.misses;
-    *compile_calls = s.compileCalls;
-    *compile_cpu_ns = s.compileCpuNs;
-}
+  public:
+    BrokerClient(unsigned sessions, std::vector<sim::DeviceSpec> devices)
+        : broker(serve::BrokerConfig{sessions, std::move(devices)})
+    {
+    }
+
+    void send(const serve::Request &req,
+              std::function<void(const ResultRec &)> done) override
+    {
+        auto t0 = std::chrono::steady_clock::now();
+        broker.submit(req, [t0, done = std::move(done)](
+                               const serve::Response &r) {
+            ResultRec rec;
+            rec.ok = r.ok;
+            rec.validated = r.validated;
+            rec.error = r.error;
+            rec.hash = r.resultHash;
+            rec.clientNs = std::chrono::duration<double, std::nano>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+            done(rec);
+        });
+    }
+
+    void cacheEnable(bool on) override
+    {
+        sim::CompileCache::setGlobalEnabled(on ? 1 : 0);
+    }
+    void cacheClear() override { sim::CompileCache::global().clear(); }
+    void cacheCounts(uint64_t *hits, uint64_t *misses,
+                     uint64_t *compile_calls,
+                     uint64_t *compile_cpu_ns) override
+    {
+        sim::CompileCacheStats s = sim::CompileCache::global().stats();
+        *hits = s.hits;
+        *misses = s.misses;
+        *compile_calls = s.compileCalls;
+        *compile_cpu_ns = s.compileCpuNs;
+    }
+
+    void drain() override { broker.drain(); }
+
+  private:
+    serve::ServeBroker broker;
+};
 
 /** Drives a spawned vcb_serve through its stdin/stdout NDJSON pipe. */
 class PipeClient : public Client
@@ -251,7 +284,16 @@ class PipeClient : public Client
         std::string id = nextId();
         auto t0 = std::chrono::steady_clock::now();
         {
-            std::lock_guard<std::mutex> lk(mtx);
+            std::unique_lock<std::mutex> lk(mtx);
+            if (dead) {
+                // The reader hit EOF and failed every outstanding
+                // request; nothing is left to answer this one.
+                lk.unlock();
+                ResultRec rec;
+                rec.error = "vcb_serve exited";
+                done(rec);
+                return;
+            }
             pending[id] = [t0, done = std::move(done)](
                               const serve::JsonObject &obj) {
                 ResultRec rec;
@@ -354,13 +396,12 @@ class PipeClient : public Client
                 return result; // server already gone; don't hang
             // The callback runs on the reader thread with mtx NOT
             // held; it must take it before touching the locals this
-            // wait reads.
+            // wait reads, and notify under it: once the waiter sees
+            // `got` it returns and destroys `cv`.
             pending[id] = [&](const serve::JsonObject &obj) {
-                {
-                    std::lock_guard<std::mutex> cb_lk(mtx);
-                    result = obj;
-                    got = true;
-                }
+                std::lock_guard<std::mutex> cb_lk(mtx);
+                result = obj;
+                got = true;
                 cv.notify_all();
             };
             writeLine(strprintf("{\"cmd\": \"%s\", \"id\": \"%s\"%s}",
@@ -580,110 +621,6 @@ runPhase(Client &client, const std::string &name,
     return out;
 }
 
-/** In-process phase on the sweep executor: one cell per request,
- *  `jobs` worker sessions each owning a private device registry.  The
- *  closed loop needs no extra machinery — the executor's dynamic cell
- *  claiming IS the closed loop (a worker takes the next request only
- *  after finishing its current one).  The open loop pins request i to
- *  the scheduled slot t0 + i/rate and measures latency from that slot,
- *  so a late worker's lateness shows up as queueing delay instead of
- *  silently shrinking the measurement (no coordinated omission). */
-PhaseOutcome
-runPhaseSweep(const std::string &name,
-              const std::vector<serve::Request> &mix, unsigned jobs,
-              double rate_rps,
-              const std::vector<sim::DeviceSpec> &devices)
-{
-    PhaseOutcome out;
-    out.name = name;
-    out.hashes.assign(mix.size(), 0);
-
-    uint64_t h0, m0, cc0, cw0;
-    inProcCacheCounts(&h0, &m0, &cc0, &cw0);
-
-    std::vector<ResultRec> recs(mix.size());
-    std::vector<std::chrono::steady_clock::time_point> issued(
-        mix.size());
-
-    harness::SweepOptions opts;
-    opts.jobs = jobs;
-    opts.devices = devices;
-
-    std::chrono::steady_clock::duration interval{};
-    if (rate_rps > 0)
-        interval = std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(1.0 / rate_rps));
-
-    auto t0 = std::chrono::steady_clock::now();
-    harness::SweepStats stats = harness::runSweepPlan(
-        mix.size(),
-        [&](size_t i) {
-            auto start = std::chrono::steady_clock::now();
-            if (rate_rps > 0) {
-                std::chrono::steady_clock::time_point slot =
-                    t0 + std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                             interval * (long long)i);
-                std::this_thread::sleep_until(slot);
-                // Latency from the scheduled slot; the actual issue
-                // instant (for the offered rate) is whichever is
-                // later, the slot or the worker reaching the cell.
-                issued[i] = std::max(slot, start);
-                start = slot;
-            } else {
-                issued[i] = start;
-            }
-            serve::Response r = serve::executeRequest(mix[i]);
-            ResultRec &rec = recs[i];
-            rec.ok = r.ok;
-            rec.validated = r.validated;
-            rec.error = r.error;
-            rec.hash = r.resultHash;
-            rec.clientNs = std::chrono::duration<double, std::nano>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        },
-        opts);
-    out.wallSec = stats.wallMs / 1e3;
-
-    serve::LatencyRecorder recorder;
-    for (size_t i = 0; i < mix.size(); ++i) {
-        const ResultRec &rec = recs[i];
-        recorder.record(rec.clientNs);
-        if (rec.ok && rec.validated) {
-            ++out.okCount;
-            out.hashes[i] = rec.hash;
-        } else {
-            ++out.errCount;
-            warn("%s: request %zu failed: %s", name.c_str(), i,
-                 rec.error.c_str());
-        }
-    }
-
-    auto first_issue = issued.front(), last_issue = issued.front();
-    for (const auto &t : issued) {
-        first_issue = std::min(first_issue, t);
-        last_issue = std::max(last_issue, t);
-    }
-    double issue_window =
-        std::chrono::duration<double>(last_issue - first_issue)
-            .count();
-    out.offeredRps =
-        mix.size() > 1 && issue_window > 0
-            ? (double)(mix.size() - 1) / issue_window
-            : (out.wallSec > 0 ? (double)mix.size() / out.wallSec : 0);
-
-    uint64_t h1, m1, cc1, cw1;
-    inProcCacheCounts(&h1, &m1, &cc1, &cw1);
-    out.hits = h1 - h0;
-    out.misses = m1 - m0;
-    out.compileCalls = cc1 - cc0;
-    out.compileCpuNs = cw1 - cw0;
-    out.lat = recorder.snapshot();
-    return out;
-}
-
 void
 printPhase(const PhaseOutcome &p, unsigned clients, unsigned sessions)
 {
@@ -768,54 +705,33 @@ main(int argc, char **argv)
 
     std::vector<serve::Request> mix = buildMix(requests, seed);
 
-    // Transport-specific knobs; the three-phase script below is
-    // identical for both.
-    std::function<void(bool)> cacheEnable;
-    std::function<void()> cacheClear;
-    std::function<PhaseOutcome(const std::string &)> phase;
-
     std::unique_ptr<Client> client;
-    std::vector<sim::DeviceSpec> devs;
-    if (!serve_bin.empty()) {
+    if (!serve_bin.empty())
         client = std::make_unique<PipeClient>(serve_bin, sessions,
                                               devices_dir);
-        cacheEnable = [&](bool on) { client->cacheEnable(on); };
-        cacheClear = [&] { client->cacheClear(); };
-        phase = [&](const std::string &name) {
-            return runPhase(*client, name, mix, clients, rate_rps);
-        };
-    } else {
-        // In-process: requests run on sweep-executor worker sessions.
-        // Closed loop: one worker per concurrent client, capped by the
-        // session budget.  Open loop: the session count alone sizes
-        // the pool (clients only gates closed-loop concurrency).
-        if (!devices_dir.empty())
-            devs = sim::loadDeviceDir(devices_dir);
-        unsigned jobs =
-            rate_rps > 0 ? sessions : std::min(clients, sessions);
-        cacheEnable = [](bool on) {
-            sim::CompileCache::setGlobalEnabled(on ? 1 : 0);
-        };
-        cacheClear = [] { sim::CompileCache::global().clear(); };
-        phase = [&, jobs](const std::string &name) {
-            return runPhaseSweep(name, mix, jobs, rate_rps, devs);
-        };
-    }
+    else
+        client = std::make_unique<BrokerClient>(
+            sessions, devices_dir.empty()
+                          ? std::vector<sim::DeviceSpec>{}
+                          : sim::loadDeviceDir(devices_dir));
 
     // Phase 1: cache disabled (the ablation baseline).
-    cacheEnable(false);
-    cacheClear();
-    PhaseOutcome off = phase("cache_off");
+    client->cacheEnable(false);
+    client->cacheClear();
+    PhaseOutcome off =
+        runPhase(*client, "cache_off", mix, clients, rate_rps);
     printPhase(off, clients, sessions);
 
     // Phase 2: enabled from empty.
-    cacheEnable(true);
-    cacheClear();
-    PhaseOutcome cold = phase("cache_cold");
+    client->cacheEnable(true);
+    client->cacheClear();
+    PhaseOutcome cold =
+        runPhase(*client, "cache_cold", mix, clients, rate_rps);
     printPhase(cold, clients, sessions);
 
     // Phase 3: the same mix over the populated cache.
-    PhaseOutcome warm = phase("cache_warm");
+    PhaseOutcome warm =
+        runPhase(*client, "cache_warm", mix, clients, rate_rps);
     printPhase(warm, clients, sessions);
 
     client.reset(); // shuts a spawned server down cleanly

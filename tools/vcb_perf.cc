@@ -105,8 +105,8 @@ usage()
                 "[--api vulkan|opencl|cuda]\n"
                 "  --jobs N  (--suite only) sweep-executor sessions; "
                 "simulated fields are\n            byte-identical at "
-                "any job count (default: VCB_REPORT_JOBS,\n"
-                "            else hardware concurrency)\n");
+                "any job count (default: hardware\n"
+                "            concurrency)\n");
 }
 
 /** Median of an unsorted sample (averages the middle pair). */
@@ -188,7 +188,7 @@ main(int argc, char **argv)
     bool quick = false;
     bool suite_mode = false;
     int repeat = 1;
-    unsigned jobs = 0; // --suite only; 0 = VCB_REPORT_JOBS/hardware
+    unsigned jobs = 0; // --suite only; 0 = hardware concurrency
     std::string device_name = "gtx1050ti";
     std::string api_str = "vulkan";
 

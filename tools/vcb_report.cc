@@ -56,7 +56,7 @@ usage()
         "                  [--out DIR] [--check FILE] [--suite-json]\n"
         "                  [--jobs N]\n"
         "  --jobs N   sweep-executor worker sessions (default:\n"
-        "             VCB_REPORT_JOBS, else hardware concurrency);\n"
+        "             hardware concurrency);\n"
         "             output is byte-identical at any job count\n");
 }
 
@@ -119,7 +119,7 @@ main(int argc, char **argv)
     bool dry_run = false;
     bool quick = false;
     bool suite_json = false;
-    unsigned jobs = 0; // 0 = VCB_REPORT_JOBS, else hardware
+    unsigned jobs = 0; // 0 = hardware concurrency
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];

@@ -3,8 +3,9 @@
  * vcb_serve — long-lived benchmark-serving process.
  *
  * Reads newline-delimited flat-JSON requests on stdin (the protocol
- * is documented in src/serve/protocol.h), shards run requests across
- * a pool of engine sessions (each with its own device registry), and
+ * is documented in src/serve/protocol.h), queues run requests on a
+ * pool of engine sessions (one FIFO; the next idle session takes the
+ * next request; each session has its own device registry), and
  * writes one response line per request to stdout in COMPLETION order
  * — the echoed id is the correlation key.  Malformed lines get an
  * "error" response and never crash the server.
