@@ -15,9 +15,10 @@ struct CompiledKernel;
 
 /**
  * Executor tiers, fastest first.  Selection is per kernel from
- * lowering metadata (chooseExecTier) unless a sampler or robust access
- * forces the instrumented tier, or VCB_EXECUTOR forces one for
- * debugging.  Every tier produces bit-identical buffers, DispatchStats
+ * lowering metadata (chooseExecTier) unless robust access forces the
+ * instrumented tier, or VCB_EXECUTOR forces one for debugging.  A
+ * sampled workgroup stays on the chosen tier; only the lane-major tier
+ * hands it to the instrumented one.  Every tier produces bit-identical buffers, DispatchStats
  * and kernelNs — the tiers differ only in host speed.
  */
 enum class ExecTier : uint8_t

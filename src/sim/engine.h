@@ -3,13 +3,12 @@
  * The execution engine: functionally executes a dispatch across all
  * workgroups and produces its simulated device time.
  *
- * dispatch() interprets a few spread-out workgroups first on the
- * instrumented executor with the coalescing sampler attached, then
- * fans the remaining workgroups out over
- * ThreadPool::parallelForRange, where each worker runs the kernel's
- * selected executor tier (trace / block-lockstep over lane blocks of
- * W, bailing divergent or atomic blocks to lane-major — see ExecTier
- * in src/sim/dispatch.h, src/sim/interpreter.cc and
+ * dispatch() interprets a few spread-out workgroups first with the
+ * coalescing sampler attached, then fans the remaining workgroups out
+ * over ThreadPool::parallelForRange.  Every workgroup runs the
+ * kernel's selected executor tier (trace / block-lockstep over lane
+ * blocks of W, bailing divergent or atomic blocks to lane-major — see
+ * ExecTier in src/sim/dispatch.h, src/sim/interpreter.cc and
  * docs/ARCHITECTURE.md).  Workgroups are independent in every
  * supported programming model, so parallel interpretation preserves
  * results for valid kernels; per-worker statistics merge once per

@@ -202,12 +202,18 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
 
     ws.invocations += localCount;
 
-    // A sampler or robust access forces the instrumented tier for this
-    // workgroup regardless of the per-kernel selection.
-    const ExecTier t = (sampler != nullptr || ctx->robustAccess)
-                           ? ExecTier::Instrumented
-                           : tier;
+    // Robust access forces the instrumented tier for this workgroup
+    // regardless of the per-kernel selection, and so does a sampler on
+    // the lane-major tier.  The trace/block tiers record a sampled
+    // workgroup themselves: the sampler's line groups are sets, so the
+    // op-major order records exactly what lane-major order does.
+    const ExecTier t =
+        (ctx->robustAccess ||
+         (sampler != nullptr && tier == ExecTier::LaneMajor))
+            ? ExecTier::Instrumented
+            : tier;
     const bool blocked = t == ExecTier::Trace || t == ExecTier::Block;
+    sampling = blocked ? sampler : nullptr;
     ws.tierWorkgroups[static_cast<size_t>(t)] += 1;
 
     // Phased execution, one executor call per phase: every lane runs
@@ -923,6 +929,19 @@ Interpreter::runPhase<true>(uint32_t, uint32_t, uint32_t, uint32_t,
                             CoalesceSampler *, uint32_t &, uint32_t &);
 
 void
+Interpreter::runLanes(uint32_t lane_begin, uint32_t lane_end, uint32_t wx,
+                      uint32_t wy, uint32_t wz, WorkgroupStats &ws,
+                      uint32_t &done_out, uint32_t &barrier_out)
+{
+    if (sampling)
+        runPhase<true>(lane_begin, lane_end, wx, wy, wz, ws, sampling,
+                       done_out, barrier_out);
+    else
+        runPhase<false>(lane_begin, lane_end, wx, wy, wz, ws, nullptr,
+                        done_out, barrier_out);
+}
+
+void
 Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
                        uint32_t lane_begin, uint32_t lane_end,
                        WorkgroupStats &ws)
@@ -997,7 +1016,33 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
             ACC[l] = fToBits(left ? t + z : z + t);
             IA[l] = NB[l] + NC[l];
         };
+        // A sampled workgroup records both loads of lane l's next body
+        // from the same registers body(l) reads them from; only body(l)
+        // writes lane l's registers, so a pass ahead of the bodies sees
+        // the same addresses.
+        CoalesceSampler *const smp = sampling;
+        std::vector<uint32_t> a1s, a2s;
+        if (smp) {
+            a1s.resize(n);
+            a2s.resize(n);
+        }
+        auto sampleAll = [&] {
+            for (uint32_t l = 0; l < n; ++l) {
+                a1s[l] = IB[l] * IC[l] + IE[l];
+                a2s[l] = AB[l] + AC[l];
+            }
+            smp->recordLanes(lane_begin, n, sup.site[0], a1s.data());
+            smp->recordLanes(lane_begin, n, sup.site[1], a2s.data());
+        };
+        auto sample = [&](uint32_t l) {
+            smp->record(lane_begin + l, sup.site[0],
+                        uint64_t(IB[l] * IC[l] + IE[l]) * 4);
+            smp->record(lane_begin + l, sup.site[1],
+                        uint64_t(AB[l] + AC[l]) * 4);
+        };
         if (!sup.loop) {
+            if (smp)
+                sampleAll();
             for (uint32_t l = 0; l < n; ++l)
                 body(l);
             site_exec[sup.site[0]] += n;
@@ -1015,12 +1060,18 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
             if (active == 0)
                 break;
             if (active == n) {
+                if (smp)
+                    sampleAll();
                 for (uint32_t l = 0; l < n; ++l)
                     body(l);
             } else {
-                for (uint32_t l = 0; l < n; ++l)
-                    if (bitsToS(LB[l]) < bitsToS(LC[l]))
-                        body(l);
+                for (uint32_t l = 0; l < n; ++l) {
+                    if (bitsToS(LB[l]) >= bitsToS(LC[l]))
+                        continue;
+                    if (smp)
+                        sample(l);
+                    body(l);
+                }
             }
             total += active;
         }
@@ -1150,8 +1201,7 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
         }                                                                 \
         for (uint32_t l = 0; l < W; ++l)                                  \
             pcs[base + l] = A[l] == sense ? in.d : pc + 1;                \
-        runPhase<false>(base, base + W, wx, wy, wz, ws, nullptr, done,    \
-                        at_barrier);                                      \
+        runLanes(base, base + W, wx, wy, wz, ws, done, at_barrier);       \
         goto block_done;                                                  \
     }
 
@@ -1173,6 +1223,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
     const uint64_t shared_words = shared.size();
     const uint32_t lx = k.module.localSize[0];
     const uint32_t ly = k.module.localSize[1];
+
+    CoalesceSampler *const smp = sampling;
 
     uint32_t done = 0;
     uint32_t at_barrier = 0;
@@ -1290,8 +1342,7 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
         for (uint32_t l = 1; l < W; ++l)
             blk_uniform &= pcs[base + l] == pc;
         if (!blk_uniform) {
-            runPhase<false>(base, base + W, wx, wy, wz, ws, nullptr,
-                            done, at_barrier);
+            runLanes(base, base + W, wx, wy, wz, ws, done, at_barrier);
             continue;
         }
         // Charge the straight-line run for the block up front, as the
@@ -1483,12 +1534,18 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 break;
               }
 
+              // A sampled workgroup records each global op's addresses
+              // before the op runs (a load may overwrite them).
               case MOp::LdBuf: {
+                if (smp)
+                    smp->recordLanes(base, W, in.d, BV(in.c));
                 loadBlock(BV(in.a), BV(in.c), in.b);
                 site_exec[in.d] += W;
                 break;
               }
               case MOp::StBuf: {
+                if (smp)
+                    smp->recordLanes(base, W, in.d, BV(in.b));
                 storeBlock(in.a, BV(in.b), BV(in.c));
                 site_exec[in.d] += W;
                 break;
@@ -1518,6 +1575,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 const uint32_t *const C = BV(in.c);
                 for (uint32_t l = 0; l < W; ++l)
                     A[l] = B[l] + C[l];
+                if (smp)
+                    smp->recordLanes(base, W, in.e, A);
                 loadBlock(BV(in.d), A, in.aux);
                 site_exec[in.e] += W;
                 break;
@@ -1528,6 +1587,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 const uint32_t *const C = BV(in.c);
                 for (uint32_t l = 0; l < W; ++l)
                     A[l] = B[l] + C[l];
+                if (smp)
+                    smp->recordLanes(base, W, in.e, A);
                 storeBlock(in.aux, A, BV(in.d));
                 site_exec[in.e] += W;
                 break;
@@ -1748,8 +1809,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                 for (uint32_t l = 0; l < W; ++l)
                     pcs[base + l] =
                         (A[l] != 0) == (sense != 0) ? in.b : pc + 1;
-                runPhase<false>(base, base + W, wx, wy, wz, ws,
-                                nullptr, done, at_barrier);
+                runLanes(base, base + W, wx, wy, wz, ws, done,
+                         at_barrier);
                 goto block_done;
               }
 
@@ -1800,8 +1861,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                     static_cast<uint64_t>(cost_from[pc]) * W;
                 for (uint32_t l = 0; l < W; ++l)
                     pcs[base + l] = pc;
-                runPhase<false>(base, base + W, wx, wy, wz, ws,
-                                nullptr, done, at_barrier);
+                runLanes(base, base + W, wx, wy, wz, ws, done,
+                         at_barrier);
                 goto block_done;
             }
             ++pc;
@@ -1813,8 +1874,8 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
     // saved pcs, after every full block — the same position they hold
     // in lane-major order.
     if (full < lc) {
-        runPhase<false>(full, static_cast<uint32_t>(lc), wx, wy, wz, ws,
-                        nullptr, done, at_barrier);
+        runLanes(full, static_cast<uint32_t>(lc), wx, wy, wz, ws, done,
+                 at_barrier);
     }
     done_out += done;
     barrier_out += at_barrier;
@@ -1903,6 +1964,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
     const uint64_t shared_words = shared.size();
     const uint32_t lx = k.module.localSize[0];
     const uint32_t ly = k.module.localSize[1];
+    CoalesceSampler *const smp = sampling;
 
     uint32_t pc = start_pc;
     // Charge the whole straight-line run for every lane up front, as
@@ -2179,11 +2241,19 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             break;
           }
 
+          // A sampled workgroup records each global op's addresses
+          // before the op runs (a load may overwrite them).
           case MOp::LdBuf:
+            if (smp)
+                smp->recordLanes(0, static_cast<uint32_t>(lc), in.d,
+                                 V(in.c));
             loadVec(V(in.a), V(in.c), bufs[in.b], in.b);
             site_exec[in.d] += lc;
             break;
           case MOp::StBuf:
+            if (smp)
+                smp->recordLanes(0, static_cast<uint32_t>(lc), in.d,
+                                 V(in.b));
             storeVec(V(in.c), V(in.b), bufs[in.a], in.a);
             site_exec[in.d] += lc;
             break;
@@ -2218,6 +2288,8 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const C = V(in.c);
             for (size_t l = 0; l < lc; ++l)
                 A[l] = B[l] + C[l];
+            if (smp)
+                smp->recordLanes(0, static_cast<uint32_t>(lc), in.e, A);
             loadVec(V(in.d), A, bufs[in.aux], in.aux);
             site_exec[in.e] += lc;
             break;
@@ -2228,6 +2300,8 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const C = V(in.c);
             for (size_t l = 0; l < lc; ++l)
                 A[l] = B[l] + C[l];
+            if (smp)
+                smp->recordLanes(0, static_cast<uint32_t>(lc), in.e, A);
             storeVec(V(in.d), A, bufs[in.aux], in.aux);
             site_exec[in.e] += lc;
             break;
@@ -2521,8 +2595,8 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                 ws.laneCycles -=
                     static_cast<uint64_t>(cost_from[pc]) * lc;
                 std::fill(pcs.begin(), pcs.end(), pc);
-                runPhase<false>(0, static_cast<uint32_t>(lc), wx, wy,
-                                wz, ws, nullptr, done_out, barrier_out);
+                runLanes(0, static_cast<uint32_t>(lc), wx, wy, wz, ws,
+                         done_out, barrier_out);
                 return;
             }
         }

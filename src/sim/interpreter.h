@@ -19,8 +19,11 @@
  * (a divergent branch or atomic bails only the affected W lanes to the
  * lane-major executor).  The lane-major tier is the order-defining
  * reference; the instrumented tier adds sampler recording and
- * out-of-bounds clamping.  All tiers produce bit-identical buffers,
- * statistics and simulated timing.
+ * out-of-bounds clamping.  A sampled workgroup stays on the trace or
+ * block tier, which then records each memory op's lane vector and
+ * bails to the instrumented executor where it would bail to
+ * lane-major.  All tiers produce bit-identical buffers, statistics,
+ * coalescing samples and simulated timing.
  *
  * Global-memory words are accessed through relaxed std::atomic_ref so
  * that independent workgroups can be interpreted on different host
@@ -101,6 +104,13 @@ class Interpreter
                   CoalesceSampler *sampler, uint32_t &done_out,
                   uint32_t &barrier_out);
 
+    /** The blocked executors' lane-major fallback for lanes
+     *  [lane_begin, lane_end): runPhase, instrumented while `sampling`
+     *  is set. */
+    void runLanes(uint32_t lane_begin, uint32_t lane_end, uint32_t wx,
+                  uint32_t wy, uint32_t wz, WorkgroupStats &ws,
+                  uint32_t &done_out, uint32_t &barrier_out);
+
     /**
      * Execute one phase op-major over the whole workgroup: every lane
      * is at start_pc and each micro-op runs across all lanes before
@@ -142,7 +152,8 @@ class Interpreter
      * [lane_begin, lane_end) as a fused per-lane loop: the run's
      * intermediates stay in host registers instead of round-tripping
      * through the lane register file.  Used by the trace/block
-     * executors; the lane-major executors run the scalar per-lane
+     * executors, recording a sampled workgroup's loads into
+     * `sampling`; the lane-major executors run the scalar per-lane
      * case inline (which also handles sampling and robust clamping).
      */
     void execSuper(const SuperOp &sup, uint32_t pc, uint32_t lane_begin,
@@ -153,6 +164,9 @@ class Interpreter
     uint32_t localCount = 0;
     /** Non-instrumented tier for this dispatch (effectiveExecTier). */
     ExecTier tier = ExecTier::Block;
+    /** The sampler of the workgroup running on the trace/block tier,
+     *  or null: those executors record every global access into it. */
+    CoalesceSampler *sampling = nullptr;
 
     std::vector<uint32_t> regs;   ///< localCount x regCount
     std::vector<uint32_t> pcs;    ///< per-lane program counter

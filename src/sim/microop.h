@@ -329,8 +329,9 @@ uint8_t opCost(spirv::Op op);
 const char *mopName(MOp op);
 
 /** Tier policy from lowering metadata: Trace for straight-line
- *  branch/atomic-free kernels, Block otherwise.  The engine upgrades
- *  to Instrumented when a sampler or robust access demands it, and
+ *  branch/atomic-free kernels, Block otherwise.  The interpreter
+ *  upgrades to Instrumented when robust access demands it (or a
+ *  sampled workgroup meets a forced lane-major tier), and
  *  VCB_EXECUTOR overrides the result for debugging. */
 ExecTier chooseExecTier(const MicroKernel &mk);
 

@@ -60,17 +60,18 @@ smallConfig(const std::string &name)
     return {"small", {64}};
 }
 
-/** Workgroups ExecutionEngine::dispatch samples per dispatch; sampled
- *  workgroups always run on the instrumented tier. */
+/** Workgroups ExecutionEngine::dispatch samples per dispatch.  They
+ *  run on the dispatch's tier and record their accesses there; only a
+ *  forced lane-major tier hands them to the instrumented one. */
 constexpr uint64_t kSampledWorkgroups = 4;
 
 /**
  * Replay sizes (test_golden, test_tiers), for many runs per benchmark
  * under every API and knob.  Every benchmark issues at least one
- * dispatch wider than kSampledWorkgroups, so forced tiers run on
- * unsampled workgroups, and sizes sit off the workgroup grain where
- * the benchmark allows it, so the kernels' partial-workgroup guards
- * run too.
+ * dispatch wider than kSampledWorkgroups, so every tier also runs
+ * workgroups that record no samples, and sizes sit off the workgroup
+ * grain where the benchmark allows it, so the kernels'
+ * partial-workgroup guards run too.
  */
 inline SizeConfig
 replayConfig(const std::string &name)

@@ -532,7 +532,9 @@ TEST(MicroOp, RobustPathMatchesFastPath)
 {
     // robustAccess forces the instrumented lane-major executor for
     // every workgroup; an in-bounds kernel must produce identical
-    // results either way (op-major lockstep vs lane-major order).
+    // results either way (op-major lockstep vs lane-major order).  All
+    // four workgroups are sampled: without robust access they still
+    // run on the kernel's own tier.
     const DeviceSpec &dev = gtx1050ti();
     std::string err;
     auto kernel = compileKernel(fusionKernel(), dev, Api::Vulkan, &err);
@@ -552,7 +554,13 @@ TEST(MicroOp, RobustPathMatchesFastPath)
         ctx.buffers.push_back({out.data(), out.size()});
         ctx.robustAccess = robust;
         ExecutionEngine engine(dev);
+        const uint64_t instrumented =
+            tierWorkgroupCount(ExecTier::Instrumented);
         engine.dispatch(ctx);
+        EXPECT_EQ(tierWorkgroupCount(ExecTier::Instrumented) -
+                      instrumented,
+                  robust ? 4u : 0u)
+            << (robust ? "robust" : "plain") << " dispatch";
     }
     EXPECT_EQ(out_fast, out_robust);
 }

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <vector>
 
+#include "common/rng.h"
 #include "sim/device.h"
 #include "sim/device_file.h"
 #include "sim/kernel.h"
@@ -238,6 +241,82 @@ TEST(Sampler, UnsampledSiteFallsBackToUncoalesced)
     CoalesceSampler s(2, 32, 64, 32);
     EXPECT_FALSE(s.sampled(1));
     EXPECT_DOUBLE_EQ(s.ratioFor(1), 1.0);
+}
+
+TEST(Sampler, LaneVectorsRecordWhatLaneMajorOrderRecords)
+{
+    // The trace/block executors record op by op (recordLanes over a
+    // lane range); the lane-major executors record lane by lane.
+    // Seeded random op streams — contiguous, uniform, strided and
+    // scattered address vectors over lane ranges that start mid-warp,
+    // enough ops per site that lanes pass the sampler's occurrence cap
+    // (128) into its saturated last bucket, power-of-two and
+    // non-power-of-two warp/line sizes — must give bit-identical
+    // ratios.
+    constexpr uint32_t kOccCap = 128;
+    struct Shape
+    {
+        uint32_t sites, warp, line, lanes;
+    };
+    for (const Shape sh : {Shape{3, 32, 64, 96}, Shape{2, 24, 48, 80},
+                           Shape{1, 8, 64, 16}}) {
+        CoalesceSampler op_major(sh.sites, sh.warp, sh.line, sh.lanes);
+        CoalesceSampler lane_major(sh.sites, sh.warp, sh.line, sh.lanes);
+        Rng rng(sh.warp * 1000 + sh.lanes);
+        uint32_t max_occ = 0;
+        for (int wg = 0; wg < 3; ++wg) {
+            struct Op
+            {
+                uint32_t site, begin, end;
+                std::vector<uint32_t> addr;
+            };
+            std::vector<Op> ops;
+            std::vector<uint32_t> occ(size_t(sh.sites) * sh.lanes, 0);
+            for (uint32_t i = 0; i < 600 * sh.sites; ++i) {
+                Op op;
+                op.site = static_cast<uint32_t>(rng.nextBelow(sh.sites));
+                op.begin = static_cast<uint32_t>(rng.nextBelow(sh.lanes));
+                op.end = op.begin + 1 +
+                         static_cast<uint32_t>(
+                             rng.nextBelow(sh.lanes - op.begin));
+                const uint32_t base =
+                    static_cast<uint32_t>(rng.nextBelow(1u << 20));
+                const uint64_t pattern = rng.nextBelow(4);
+                for (uint32_t l = op.begin; l < op.end; ++l) {
+                    const uint32_t a =
+                        pattern == 0   ? base + l
+                        : pattern == 1 ? base
+                        : pattern == 2 ? base + 37 * l
+                                       : static_cast<uint32_t>(
+                                             rng.nextBelow(1u << 20));
+                    op.addr.push_back(a);
+                    max_occ = std::max(
+                        max_occ, ++occ[size_t(op.site) * sh.lanes + l]);
+                }
+                ops.push_back(std::move(op));
+            }
+            op_major.beginWorkgroup();
+            for (const Op &op : ops)
+                op_major.recordLanes(op.begin, op.end - op.begin, op.site,
+                                     op.addr.data());
+            op_major.endWorkgroup();
+            lane_major.beginWorkgroup();
+            for (uint32_t lane = 0; lane < sh.lanes; ++lane)
+                for (const Op &op : ops)
+                    if (lane >= op.begin && lane < op.end)
+                        lane_major.record(
+                            lane, op.site,
+                            uint64_t(op.addr[lane - op.begin]) * 4);
+            lane_major.endWorkgroup();
+        }
+        EXPECT_GT(max_occ, kOccCap) << "warp " << sh.warp;
+        for (uint32_t s = 0; s < sh.sites; ++s) {
+            EXPECT_TRUE(op_major.sampled(s));
+            EXPECT_EQ(op_major.sampled(s), lane_major.sampled(s));
+            EXPECT_EQ(op_major.ratioFor(s), lane_major.ratioFor(s))
+                << "site " << s << " warp " << sh.warp;
+        }
+    }
 }
 
 // --- timing model -------------------------------------------------------------

@@ -24,7 +24,7 @@ class TierEquivalence : public ::testing::TestWithParam<std::string>
 {
 };
 
-/** Sampled workgroups run instrumented whatever the tier, so the
+/** Every tier must also run workgroups that record no samples, so the
  *  checks below need dispatches wider than the sample. */
 TEST_P(TierEquivalence, ReplayRunsUnsampledWorkgroups)
 {
@@ -37,8 +37,27 @@ TEST_P(TierEquivalence, ReplayRunsUnsampledWorkgroups)
     EXPECT_GT(widest, kSampledWorkgroups);
 }
 
+/** Sampled workgroups run on the tier the kernel chose (trace or
+ *  block), recording each memory op's lane vector; none falls to the
+ *  instrumented tier while robust access is off. */
+TEST_P(TierEquivalence, SampledWorkgroupsRunOnTheChosenTier)
+{
+    const uint64_t before =
+        sim::tierWorkgroupCount(sim::ExecTier::Instrumented);
+    Replay r = replay(replayWorkload(GetParam()), sim::gtx1050ti(),
+                      sim::Api::Vulkan);
+    ASSERT_TRUE(r.result.ok) << r.result.skipReason;
+    EXPECT_EQ(sim::tierWorkgroupCount(sim::ExecTier::Instrumented) -
+                  before,
+              0u);
+}
+
 /** Each of the four tiers, forced, must replay every workload with
- *  results bit-identical to the policy-chosen tier. */
+ *  results bit-identical to the policy-chosen tier.  This also checks
+ *  op-major sampling against lane-major sampling end to end: the
+ *  forced lane-major and instrumented tiers record the sampled
+ *  workgroups lane by lane, the auto tier (trace or block) op by op,
+ *  and the coalescing ratios feed DispatchStats, which must match. */
 TEST_P(TierEquivalence, ForcedTiersMatchAuto)
 {
     Workload w = replayWorkload(GetParam());

@@ -1,16 +1,18 @@
 /** @file Smoke tests for the tools/ binaries: vcb_run --list, a tiny
  *  vcb_run benchmark execution, vcb_disasm on builder-generated
- *  modules, vcb_serve's error responses and vcb_load against a server
- *  that exits.  CTest points VCB_RUN_BIN / VCB_DISASM_BIN /
- *  VCB_SERVE_BIN / VCB_LOAD_BIN at the built executables; the tests
- *  skip when run outside the build harness.  Also: numeric flags
- *  reject trailing junk. */
+ *  modules, vcb_serve's error responses, vcb_load against a server
+ *  that exits and vcb_perf's per-benchmark verdicts.  CTest points
+ *  VCB_RUN_BIN / VCB_DISASM_BIN / VCB_SERVE_BIN / VCB_LOAD_BIN /
+ *  VCB_PERF_BIN at the built executables; the tests skip when run
+ *  outside the build harness.  Also: numeric flags reject trailing
+ *  junk. */
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -46,13 +48,15 @@ class ToolsSmoke : public ::testing::Test
         vcbDisasm = binFromEnv("VCB_DISASM_BIN");
         vcbServe = binFromEnv("VCB_SERVE_BIN");
         vcbLoad = binFromEnv("VCB_LOAD_BIN");
+        vcbPerf = binFromEnv("VCB_PERF_BIN");
         if (vcbRun.empty() || vcbDisasm.empty() || vcbServe.empty() ||
-            vcbLoad.empty())
+            vcbLoad.empty() || vcbPerf.empty())
             GTEST_SKIP() << "VCB_RUN_BIN / VCB_DISASM_BIN / VCB_SERVE_BIN "
-                            "/ VCB_LOAD_BIN not set (run via ctest)";
+                            "/ VCB_LOAD_BIN / VCB_PERF_BIN not set (run "
+                            "via ctest)";
     }
 
-    std::string vcbRun, vcbDisasm, vcbServe, vcbLoad;
+    std::string vcbRun, vcbDisasm, vcbServe, vcbLoad, vcbPerf;
 };
 
 TEST_F(ToolsSmoke, RunListShowsBenchmarksAndDevices)
@@ -200,6 +204,57 @@ TEST_F(ToolsSmoke, LoadFailsFastWhenTheServerExits)
     EXPECT_NE(WEXITSTATUS(status), 0) << out;
     EXPECT_NE(WEXITSTATUS(status), 124) << "timed out: " << out;
     EXPECT_NE(out.find("vcb_serve exited"), std::string::npos) << out;
+}
+
+/** The text of a flat JSON line's value for `key`, up to the next
+ *  comma or closing brace; empty when the key is absent. */
+std::string
+jsonField(const std::string &line, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const size_t at = line.find(tag);
+    if (at == std::string::npos)
+        return "";
+    const size_t from = at + tag.size();
+    return line.substr(from, line.find_first_of(",}", from) - from);
+}
+
+TEST_F(ToolsSmoke, PerfMixMarksOnlyTheFailedBenchmark)
+{
+    // The Adreno 506's OpenCL driver fails lud (a paper quirk); the
+    // other six mix benchmarks still validate and must say so.  Every
+    // line carries the dispatch time under its new and its old name.
+    std::string out;
+    int status = runCapture("VCB_THREADS=1 " + vcbPerf +
+                                " --quick --device adreno506"
+                                " --api opencl",
+                            &out);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+    std::istringstream lines(out);
+    std::string line;
+    int benches = 0;
+    bool saw_mix = false;
+    while (std::getline(lines, line)) {
+        const std::string bench = jsonField(line, "bench");
+        if (bench.empty())
+            continue;
+        EXPECT_NE(jsonField(line, "dispatch_wall_ms"), "") << line;
+        EXPECT_EQ(jsonField(line, "dispatch_wall_ms"),
+                  jsonField(line, "sim_ms"))
+            << line;
+        const std::string validated = jsonField(line, "validated");
+        if (bench == "\"mix\"") {
+            saw_mix = true;
+            EXPECT_EQ(validated, "false") << line;
+        } else {
+            ++benches;
+            EXPECT_EQ(validated, bench == "\"lud\"" ? "false" : "true")
+                << line;
+        }
+    }
+    EXPECT_EQ(benches, 7) << out;
+    EXPECT_TRUE(saw_mix) << out;
 }
 
 } // namespace

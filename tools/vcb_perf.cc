@@ -5,19 +5,25 @@
  * Runs a fixed mix of suite dispatches (bfs, hotspot, lud, gaussian,
  * srad, kmeans, streamcluster — see kMix below for why each is there)
  * and reports the simulator's own throughput in workgroups per second.
- * Each line reports two times: wall_ms is the whole benchmark run
- * (including host-side workload generation, CPU reference and
- * validation), sim_ms is the time spent inside the execution engine
- * (sim::dispatchWallNs) — workgroups_per_s is workgroups / sim_ms, so
- * the tracked number measures the simulator hot path and is not
- * diluted by constant host-side work.  Output is one JSON object per
- * line so BENCH_*.json trajectory tracking (and the CI log) has a
- * stable machine-readable source:
+ * Each line reports two host wall times: wall_ms is the whole
+ * benchmark run (including host-side workload generation, CPU
+ * reference and validation), dispatch_wall_ms is the time spent inside
+ * the execution engine (sim::dispatchWallNs) — workgroups_per_s is
+ * workgroups / dispatch_wall_ms, so the tracked number measures the
+ * simulator hot path and is not diluted by constant host-side work.
+ * Neither is simulated device time.  sim_ms is the old name of
+ * dispatch_wall_ms, still printed with the same value for one release.
+ * Output is one JSON object per line so BENCH_*.json trajectory
+ * tracking (and the CI log) has a stable machine-readable source:
  *
  *   {"bench": "bfs", "size": "1M", "api": "vulkan", ...}
  *   ...
- *   {"bench": "mix", "wall_ms": ..., "sim_ms": ...,
+ *   {"bench": "mix", "wall_ms": ..., "dispatch_wall_ms": ...,
  *    "workgroups_per_s": ...}
+ *
+ * Each benchmark line's "validated" covers that benchmark's runs in
+ * every repeat; the mix line's covers them all, and so does the exit
+ * status.
  *
  * For reproducible numbers pin the host parallelism with VCB_THREADS
  * (total executing threads; 1 = fully serial) and compare only the
@@ -123,7 +129,7 @@ median(std::vector<double> v)
  *  sweep executor (src/harness/sweep.h): one cell per benchmark on
  *  `jobs` isolated sessions, results printed in registry order — the
  *  simulated fields are byte-identical at any job count; wall_ms and
- *  sim_ms are the executor's per-cell ledger. */
+ *  dispatch_wall_ms are the executor's per-cell ledger. */
 int
 runSuiteSnapshot(const sim::DeviceSpec &dev, sim::Api api, bool quick,
                  unsigned jobs)
@@ -162,12 +168,14 @@ runSuiteSnapshot(const sim::DeviceSpec &dev, sim::Api api, bool quick,
                     "\"strategy\": \"%s\", "
                     "\"kernel_region_ns\": %.0f, \"total_ns\": %.0f, "
                     "\"launches\": %llu, \"wall_ms\": %.3f, "
-                    "\"sim_ms\": %.3f, \"validated\": %s}\n",
+                    "\"dispatch_wall_ms\": %.3f, \"sim_ms\": %.3f, "
+                    "\"validated\": %s}\n",
                     benches[b]->name().c_str(), labels[b].c_str(),
                     sim::apiName(api), dev.name.c_str(),
                     r.strategy.c_str(), r.kernelRegionNs, r.totalNs,
                     (unsigned long long)r.launches, stats.cellWallMs[b],
-                    stats.cellSimMs[b], ok ? "true" : "false");
+                    stats.cellSimMs[b], stats.cellSimMs[b],
+                    ok ? "true" : "false");
         std::fflush(stdout);
     }
     std::printf("{\"bench\": \"suite\", \"mode\": \"%s\", "
@@ -239,17 +247,20 @@ main(int argc, char **argv)
 
     constexpr size_t kBenches = std::size(kMix);
     // Per-bench samples across repeats.
-    std::vector<std::vector<double>> b_wall(kBenches), b_sim(kBenches),
-        b_wgps(kBenches);
+    std::vector<std::vector<double>> b_wall(kBenches),
+        b_dispatch(kBenches), b_wgps(kBenches);
     uint64_t b_wgs[kBenches] = {};
     uint64_t b_launches[kBenches] = {};
     std::string b_label[kBenches];
-    std::vector<double> mix_wall_r, mix_sim_r, mix_wgps_r;
+    std::vector<double> mix_wall_r, mix_dispatch_r, mix_wgps_r;
     uint64_t mix_wgs = 0;
     // Per-tier workgroups of one run, like mix_wgs: which executor tier
     // did the work (telemetry, not simulation state).
     constexpr size_t kTiers = static_cast<size_t>(sim::ExecTier::Count);
     uint64_t tier_wgs[kTiers] = {};
+    // A benchmark that fails in any repeat reads failed on its own
+    // line; the others keep their own verdicts.
+    bool b_failed[kBenches] = {};
     bool all_ok = true;
 
     for (int rep = 0; rep < repeat; ++rep) {
@@ -259,7 +270,7 @@ main(int argc, char **argv)
                 sim::tierWorkgroupCount(static_cast<sim::ExecTier>(t));
         uint64_t rep_wgs = 0;
         double rep_wall = 0;
-        double rep_sim = 0;
+        double rep_dispatch = 0;
         for (size_t b = 0; b < kBenches; ++b) {
             const MixEntry &e = kMix[b];
             const suite::Benchmark &bench = suite::byName(e.bench);
@@ -270,23 +281,26 @@ main(int argc, char **argv)
             const suite::SizeConfig &cfg = sizes[idx];
 
             uint64_t wg0 = sim::executedWorkgroupCount();
-            uint64_t sim0 = sim::dispatchWallNs();
+            uint64_t dispatch0 = sim::dispatchWallNs();
             double t0 = nowMs();
             suite::RunResult r = bench.run(dev, api, cfg);
             double wall_ms = nowMs() - t0;
-            double sim_ms = (sim::dispatchWallNs() - sim0) / 1e6;
+            double dispatch_ms =
+                (sim::dispatchWallNs() - dispatch0) / 1e6;
             uint64_t wgs = sim::executedWorkgroupCount() - wg0;
 
-            all_ok = all_ok && r.ok && r.validated;
+            b_failed[b] = b_failed[b] || !r.ok || !r.validated;
+            all_ok = all_ok && !b_failed[b];
             b_wall[b].push_back(wall_ms);
-            b_sim[b].push_back(sim_ms);
-            b_wgps[b].push_back(sim_ms > 0 ? wgs * 1e3 / sim_ms : 0.0);
+            b_dispatch[b].push_back(dispatch_ms);
+            b_wgps[b].push_back(dispatch_ms > 0 ? wgs * 1e3 / dispatch_ms
+                                                : 0.0);
             b_wgs[b] = wgs;
             b_launches[b] = r.launches;
             b_label[b] = cfg.label;
             rep_wgs += wgs;
             rep_wall += wall_ms;
-            rep_sim += sim_ms;
+            rep_dispatch += dispatch_ms;
         }
         mix_wgs = rep_wgs;
         for (size_t t = 0; t < kTiers; ++t)
@@ -294,24 +308,25 @@ main(int argc, char **argv)
                 sim::tierWorkgroupCount(static_cast<sim::ExecTier>(t)) -
                 tier0[t];
         mix_wall_r.push_back(rep_wall);
-        mix_sim_r.push_back(rep_sim);
-        mix_wgps_r.push_back(rep_sim > 0 ? rep_wgs * 1e3 / rep_sim
-                                         : 0.0);
+        mix_dispatch_r.push_back(rep_dispatch);
+        mix_wgps_r.push_back(
+            rep_dispatch > 0 ? rep_wgs * 1e3 / rep_dispatch : 0.0);
     }
 
     for (size_t b = 0; b < kBenches; ++b) {
         std::printf("{\"bench\": \"%s\", \"size\": \"%s\", "
                     "\"api\": \"%s\", \"device\": \"%s\", "
-                    "\"wall_ms\": %.3f, \"sim_ms\": %.3f, "
-                    "\"workgroups\": %llu, "
+                    "\"wall_ms\": %.3f, \"dispatch_wall_ms\": %.3f, "
+                    "\"sim_ms\": %.3f, \"workgroups\": %llu, "
                     "\"workgroups_per_s\": %.0f, \"launches\": %llu, "
                     "\"validated\": %s}\n",
                     kMix[b].bench, b_label[b].c_str(),
                     sim::apiName(api), dev.name.c_str(),
-                    median(b_wall[b]), median(b_sim[b]),
+                    median(b_wall[b]), median(b_dispatch[b]),
+                    median(b_dispatch[b]),
                     (unsigned long long)b_wgs[b], median(b_wgps[b]),
                     (unsigned long long)b_launches[b],
-                    all_ok ? "true" : "false");
+                    b_failed[b] ? "false" : "true");
         std::fflush(stdout);
     }
 
@@ -322,8 +337,8 @@ main(int argc, char **argv)
         *std::max_element(mix_wgps_r.begin(), mix_wgps_r.end());
     std::printf(
         "{\"bench\": \"mix\", \"mode\": \"%s\", "
-        "\"wall_ms\": %.3f, \"sim_ms\": %.3f, "
-        "\"workgroups\": %llu, "
+        "\"wall_ms\": %.3f, \"dispatch_wall_ms\": %.3f, "
+        "\"sim_ms\": %.3f, \"workgroups\": %llu, "
         "\"workgroups_per_s\": %.0f, "
         "\"wgps_min\": %.0f, \"wgps_max\": %.0f, "
         "\"repeats\": %d, "
@@ -331,7 +346,8 @@ main(int argc, char **argv)
         "\"lanemajor\": %llu, \"instrumented\": %llu}, "
         "\"vcb_threads\": \"%s\", \"validated\": %s}\n",
         quick ? "quick" : "full", median(mix_wall_r),
-        median(mix_sim_r), (unsigned long long)mix_wgs, wgps_med,
+        median(mix_dispatch_r), median(mix_dispatch_r),
+        (unsigned long long)mix_wgs, wgps_med,
         wgps_min, wgps_max, repeat,
         (unsigned long long)
             tier_wgs[static_cast<size_t>(sim::ExecTier::Trace)],
