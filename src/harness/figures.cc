@@ -134,16 +134,6 @@ runFigureCell(FigureData &fig, const FigureCell &cell,
              r.validationError.c_str());
 }
 
-FigureData
-runSpeedupFigure(const sim::DeviceSpec &dev, bool mobile, uint64_t scale)
-{
-    std::vector<FigureCell> cells;
-    FigureData fig = planSpeedupFigure(dev, mobile, scale, cells);
-    for (const FigureCell &cell : cells)
-        runFigureCell(fig, cell, dev);
-    return fig;
-}
-
 std::string
 formatSpeedupFigure(const FigureData &fig)
 {

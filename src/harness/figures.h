@@ -1,9 +1,9 @@
 /**
  * @file
- * Figure orchestration: runs the whole suite on a device under every
- * available API and aggregates the paper's speedup metrics.  Shared by
- * the bench/ binaries that regenerate Figs. 2 and 4 and by the
- * integration tests that assert the figures' shape.
+ * Figure orchestration: plans the whole suite on a device under every
+ * available API as independent cells and aggregates the paper's
+ * speedup metrics.  The report book (report_book.h) runs the cells
+ * and renders Figs. 2 and 4 from the result.
  */
 
 #ifndef VCB_HARNESS_FIGURES_H
@@ -63,16 +63,6 @@ struct FigureData
     bool allValidated() const;
 };
 
-/**
- * Run every suite benchmark at its desktop or mobile sizes on `dev`
- * under every API the device supports.
- *
- * @param scale optional divisor (>1 shrinks the size parameters for
- *        quick smoke runs; 1 = figure defaults).
- */
-FigureData runSpeedupFigure(const sim::DeviceSpec &dev, bool mobile,
-                            uint64_t scale = 1);
-
 /** One runnable (row, API) unit of a speedup figure. */
 struct FigureCell
 {
@@ -82,12 +72,13 @@ struct FigureCell
 };
 
 /**
- * Enumerate the figure without running anything: rows are created
- * (bench x size, API-unavailable skips prefilled) and one FigureCell
- * per runnable (row, API) pair is appended to `cells`.  Feeding the
- * cells to runFigureCell in any order — including concurrently, since
- * each writes disjoint row slots — reproduces runSpeedupFigure()
- * exactly; the sweep executor (sweep.h) relies on this split.
+ * Enumerate the figure without running anything: one row per suite
+ * benchmark x desktop or mobile size (API-unavailable skips
+ * prefilled), and one FigureCell per runnable (row, API) pair appended
+ * to `cells`, its size shrunk by `scale` (1 = figure sizes).  Each
+ * cell writes disjoint row slots, so feeding the cells to
+ * runFigureCell in any order — including concurrently — gives the
+ * same figure; the sweep executor (sweep.h) relies on this split.
  */
 FigureData planSpeedupFigure(const sim::DeviceSpec &dev, bool mobile,
                              uint64_t scale,
@@ -100,8 +91,8 @@ void runFigureCell(FigureData &fig, const FigureCell &cell,
                    const sim::DeviceSpec &dev);
 
 /** Shrink a size configuration by `scale` toward a floor of 32
- *  (small parameters pass through unchanged) — the fig2/fig4 --dry-run
- *  and report-book scaling rule. */
+ *  (small parameters pass through unchanged) — the dry report book's
+ *  scaling rule. */
 suite::SizeConfig scaleConfig(const suite::SizeConfig &size,
                               uint64_t scale);
 

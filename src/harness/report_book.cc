@@ -9,31 +9,11 @@
 #include "common/strutil.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
-#include "sim/device_file.h"
 #include "suite/benchmark.h"
 
 namespace vcb::harness {
 
 using sim::Api;
-
-const std::vector<sim::DeviceSpec> &
-resolveReportDevices(const std::string &devices_dir)
-{
-    if (devices_dir.empty())
-        return sim::activeDeviceRegistry();
-    return sim::setActiveDeviceRegistry(
-        sim::loadDeviceDir(devices_dir));
-}
-
-std::vector<const sim::DeviceSpec *>
-selectDevices(const std::vector<sim::DeviceSpec> &devices, bool mobile)
-{
-    std::vector<const sim::DeviceSpec *> out;
-    for (const auto &d : devices)
-        if (d.mobile == mobile)
-            out.push_back(&d);
-    return out;
-}
 
 uint64_t
 speedupScale(bool mobile, bool dry)
@@ -79,17 +59,6 @@ runBandwidthPanelApi(BandwidthPanel &panel, Api api,
 {
     panel.points[static_cast<int>(api)] =
         suite::runBandwidthSweep(dev, api, panel.strides, cfg);
-}
-
-BandwidthPanel
-runBandwidthPanel(const sim::DeviceSpec &dev, bool dry)
-{
-    suite::BandwidthConfig cfg;
-    BandwidthPanel panel = planBandwidthPanel(dev, dry, cfg);
-    for (int a = 0; a < sim::apiCount; ++a)
-        if (panel.apiRun[a])
-            runBandwidthPanelApi(panel, static_cast<Api>(a), dev, cfg);
-    return panel;
 }
 
 std::string
@@ -972,18 +941,14 @@ renderResultsBook(const ReportBook &book)
            "     Regenerate from the repo root with:\n"
            "         build/tools/vcb_report --dry-run > "
            "docs/RESULTS.md\n"
-           "     CI and ctest fail when this file drifts from the "
-           "committed copy\n"
-           "     (tools/check_docs.sh and the check_results_book "
-           "test).\n"
-           "     The book builds on the sweep executor "
-           "(src/harness/sweep.h); every\n"
-           "     number comes from simulated clocks, so this file is "
-           "byte-identical\n"
-           "     at any --jobs worker count "
-           "(tests/test_sweep.cc\n"
-           "     and the CI parallel-identity gate enforce it). "
-           "-->\n\n";
+           "     The check_results_book test fails when this file "
+           "drifts from a\n"
+           "     regeneration.  The book builds on the sweep executor\n"
+           "     (src/harness/sweep.h); every number comes from "
+           "simulated clocks, so\n"
+           "     this file is byte-identical at any --jobs worker "
+           "count\n"
+           "     (tests/test_sweep.cc enforces it). -->\n\n";
     out += "# VComputeBench results book\n\n";
     out += strprintf(
         "One artifact for the paper's whole measurement story: "
@@ -1111,10 +1076,7 @@ renderResultsBook(const ReportBook &book)
     }
     out += "\n";
     out += "Figures and tables above are rendered by "
-           "`src/harness/report_book.cc`; the\nstandalone "
-           "`bench/fig*` and `bench/tab*` binaries print the same "
-           "sections\nfrom the same renderers, so they cannot drift "
-           "from this book.\n";
+           "`src/harness/report_book.cc`.\n";
     return out;
 }
 

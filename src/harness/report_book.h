@@ -3,15 +3,10 @@
  * The report-book layer: one code path that runs every registered
  * benchmark x API x admissible Vulkan submission strategy across a
  * device registry and renders every paper artifact from the result —
- * the fig1–fig4 sections, the tab1–tab3 tables, per-device CSVs, the
+ * the Figs. 1–4 sections, Tables I–III, per-device CSVs, the
  * suite-wide JSON snapshot and the generated Markdown results book
- * (docs/RESULTS.md).
- *
- * The standalone `bench/fig*` / `bench/tab*` binaries are thin
- * wrappers over the same section renderers, so a figure printed on a
- * terminal can never drift from the committed book: both are the same
- * string from the same run.  `tools/vcb_report` is the one-command
- * driver (see its --help for the artifact tree layout).
+ * (docs/RESULTS.md).  `tools/vcb_report` is the one driver (see its
+ * --help for the artifact tree layout).
  *
  * Every number below comes from simulated clocks, so a report built
  * twice from the same tree is byte-identical — which is what lets CI
@@ -31,24 +26,8 @@
 
 namespace vcb::harness {
 
-/**
- * Resolve the report's device registry: when `devices_dir` is
- * non-empty, load its spec files and install them as the active
- * registry (sim/device_file.h — the report pipeline's path);
- * otherwise return the current active registry (the compiled-in paper
- * parts by default).  Benchmarks must run against the exact returned
- * objects — the Vulkan front-end resolves devices by identity — so
- * callers keep references, never copies.
- */
-const std::vector<sim::DeviceSpec> &
-resolveReportDevices(const std::string &devices_dir);
-
-/** Pointers to the mobile (or desktop) subset, registry order. */
-std::vector<const sim::DeviceSpec *>
-selectDevices(const std::vector<sim::DeviceSpec> &devices, bool mobile);
-
-/** Figure speedup scale divisors (dry-run shrink used by fig2/fig4
- *  --dry-run and the book): desktop 64, mobile 16, 1 when not dry. */
+/** Figure speedup scale divisors (the dry book's shrink): desktop 64,
+ *  mobile 16, 1 when not dry. */
 uint64_t speedupScale(bool mobile, bool dry);
 
 // ---------------------------------------------------------------------------
@@ -65,15 +44,12 @@ struct BandwidthPanel
     std::vector<suite::BandwidthPoint> points[sim::apiCount];
 };
 
-/** Run the device's sweep: desktop strides/sizes for desktop parts,
- *  mobile strides/sizes for mobile parts; `dry` shrinks the sweep. */
-BandwidthPanel runBandwidthPanel(const sim::DeviceSpec &dev, bool dry);
-
-/** Enumerate the panel without running anything: strides chosen,
- *  apiRun[] marked, `cfg` filled.  One runBandwidthPanelApi call per
- *  marked API — in any order, each writes a disjoint points[] slot —
- *  reproduces runBandwidthPanel() exactly (the sweep-executor split,
- *  see sweep.h). */
+/** Enumerate the device's sweep without running anything: desktop
+ *  strides/sizes for desktop parts, mobile strides/sizes for mobile
+ *  parts, shrunk when `dry`; apiRun[] marked, `cfg` filled.  One
+ *  runBandwidthPanelApi call per marked API — in any order, each
+ *  writes a disjoint points[] slot — completes the panel (the
+ *  sweep-executor split, see sweep.h). */
 BandwidthPanel planBandwidthPanel(const sim::DeviceSpec &dev, bool dry,
                                   suite::BandwidthConfig &cfg);
 

@@ -11,14 +11,17 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/report_book.h"
 #include "harness/sweep.h"
 #include "sim/device.h"
+#include "sim/device_file.h"
 #include "sim/engine.h"
 
 namespace vcb::harness {
@@ -182,16 +185,29 @@ TEST(SweepPlan, WorkersGetPrivateRegistrySessions)
 
 // --- report-book byte identity ---------------------------------------------
 
-/** The tentpole acceptance property: the full quick book — Markdown
- *  render, every per-device CSV and the deterministic suite-JSON
- *  lines — is byte-identical at jobs=1 and jobs=4.  This runs in the
- *  sanitize job too (smoke label), so data races in the sweep would
- *  surface here under TSan/ASan. */
+/** The sweep executor's acceptance property: the full quick book on
+ *  the committed spec directory — Markdown render, every per-device
+ *  CSV and the deterministic suite-JSON lines — is byte-identical at
+ *  jobs=1 and jobs=4.  The six parts include the UVM expansion
+ *  devices (Adreno 640, Mali-G76), whose figures run paged workloads.
+ *  This runs in the sanitize job too
+ *  (smoke label), so data races in the sweep would surface here under
+ *  TSan/ASan. */
 TEST(SweepBook, QuickBookByteIdenticalAcrossJobCounts)
 {
-    const std::vector<sim::DeviceSpec> &devices =
-        sim::activeDeviceRegistry();
-    ASSERT_FALSE(devices.empty());
+    const char *dir = std::getenv("VCB_DEVICES_DIR");
+    if (!dir)
+        GTEST_SKIP() << "VCB_DEVICES_DIR not set";
+    sim::ScopedDeviceRegistry reg(sim::loadDeviceDir(dir));
+    const std::vector<sim::DeviceSpec> &devices = reg.devices();
+    std::set<std::string> names;
+    for (const sim::DeviceSpec &dev : devices)
+        names.insert(dev.name);
+    EXPECT_EQ(names, (std::set<std::string>{
+                         "NVIDIA GTX1050Ti", "AMD RX560",
+                         "Qualcomm Adreno 506",
+                         "Imagination PowerVR Rogue G6430",
+                         "Qualcomm Adreno 640", "Arm Mali-G76"}));
 
     ReportBook book1 = buildReportBook(devices, /*dry=*/true, 1);
     ReportBook book4 = buildReportBook(devices, /*dry=*/true, 4);

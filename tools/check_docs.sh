@@ -6,12 +6,10 @@
 #      external http(s)/mailto links are skipped);
 #   2. no file references DESIGN.md/EXPERIMENTS.md-style ghosts: any
 #      `something.md` mentioned in a markdown file must exist;
-#   3. lint: no trailing whitespace, no hard tabs;
-#   4. the generated results book (docs/RESULTS.md) matches a fresh
-#      `vcb_report --dry-run` regeneration — only when a built binary
-#      is visible (VCB_REPORT_BIN, or build/tools/vcb_report under the
-#      repo root); skipped with a note otherwise, so the pre-build CI
-#      docs step still works.
+#   3. lint: no trailing whitespace, no hard tabs.
+#
+# (The generated results book, docs/RESULTS.md, has its own drift gate:
+# the check_results_book ctest entry.)
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's
 # parent directory).  Exit 0 = clean; every finding is printed.
@@ -78,18 +76,6 @@ for name in $(grep -hoE '([A-Za-z0-9_-]+/)*[A-Za-z0-9_-]+\.md' $living | sort -u
         note "dangling document reference: $name"
     fi
 done
-
-# 4. Generated-results-book drift: regenerate the book at dry-run
-# scale and demand byte equality with the committed docs/RESULTS.md.
-report_bin=${VCB_REPORT_BIN:-"$root/build/tools/vcb_report"}
-if [ -x "$report_bin" ] && [ -e "$root/docs/RESULTS.md" ]; then
-    if ! "$report_bin" --dry-run --devices "$root/devices" \
-            --check "$root/docs/RESULTS.md" >/dev/null 2>&1; then
-        note "docs/RESULTS.md drifts from 'vcb_report --dry-run' (regenerate: build/tools/vcb_report --dry-run > docs/RESULTS.md)"
-    fi
-else
-    echo "check_docs: vcb_report not built; skipping RESULTS.md drift check"
-fi
 
 if [ "$fail" -eq 0 ]; then
     echo "check_docs: OK ($(echo "$files" | wc -w | tr -d ' ') files)"

@@ -11,8 +11,7 @@
  * the execution engine (sim::dispatchWallNs) — workgroups_per_s is
  * workgroups / dispatch_wall_ms, so the tracked number measures the
  * simulator hot path and is not diluted by constant host-side work.
- * Neither is simulated device time.  sim_ms is the old name of
- * dispatch_wall_ms, still printed with the same value for one release.
+ * Neither is simulated device time.
  * Output is one JSON object per line so BENCH_*.json trajectory
  * tracking (and the CI log) has a stable machine-readable source:
  *
@@ -168,14 +167,12 @@ runSuiteSnapshot(const sim::DeviceSpec &dev, sim::Api api, bool quick,
                     "\"strategy\": \"%s\", "
                     "\"kernel_region_ns\": %.0f, \"total_ns\": %.0f, "
                     "\"launches\": %llu, \"wall_ms\": %.3f, "
-                    "\"dispatch_wall_ms\": %.3f, \"sim_ms\": %.3f, "
-                    "\"validated\": %s}\n",
+                    "\"dispatch_wall_ms\": %.3f, \"validated\": %s}\n",
                     benches[b]->name().c_str(), labels[b].c_str(),
                     sim::apiName(api), dev.name.c_str(),
                     r.strategy.c_str(), r.kernelRegionNs, r.totalNs,
                     (unsigned long long)r.launches, stats.cellWallMs[b],
-                    stats.cellSimMs[b], stats.cellSimMs[b],
-                    ok ? "true" : "false");
+                    stats.cellSimMs[b], ok ? "true" : "false");
         std::fflush(stdout);
     }
     std::printf("{\"bench\": \"suite\", \"mode\": \"%s\", "
@@ -317,13 +314,12 @@ main(int argc, char **argv)
         std::printf("{\"bench\": \"%s\", \"size\": \"%s\", "
                     "\"api\": \"%s\", \"device\": \"%s\", "
                     "\"wall_ms\": %.3f, \"dispatch_wall_ms\": %.3f, "
-                    "\"sim_ms\": %.3f, \"workgroups\": %llu, "
-                    "\"workgroups_per_s\": %.0f, \"launches\": %llu, "
+                    "\"workgroups\": %llu, \"workgroups_per_s\": %.0f, "
+                    "\"launches\": %llu, "
                     "\"validated\": %s}\n",
                     kMix[b].bench, b_label[b].c_str(),
                     sim::apiName(api), dev.name.c_str(),
                     median(b_wall[b]), median(b_dispatch[b]),
-                    median(b_dispatch[b]),
                     (unsigned long long)b_wgs[b], median(b_wgps[b]),
                     (unsigned long long)b_launches[b],
                     b_failed[b] ? "false" : "true");
@@ -338,7 +334,7 @@ main(int argc, char **argv)
     std::printf(
         "{\"bench\": \"mix\", \"mode\": \"%s\", "
         "\"wall_ms\": %.3f, \"dispatch_wall_ms\": %.3f, "
-        "\"sim_ms\": %.3f, \"workgroups\": %llu, "
+        "\"workgroups\": %llu, "
         "\"workgroups_per_s\": %.0f, "
         "\"wgps_min\": %.0f, \"wgps_max\": %.0f, "
         "\"repeats\": %d, "
@@ -346,7 +342,7 @@ main(int argc, char **argv)
         "\"lanemajor\": %llu, \"instrumented\": %llu}, "
         "\"vcb_threads\": \"%s\", \"validated\": %s}\n",
         quick ? "quick" : "full", median(mix_wall_r),
-        median(mix_dispatch_r), median(mix_dispatch_r),
+        median(mix_dispatch_r),
         (unsigned long long)mix_wgs, wgps_med,
         wgps_min, wgps_max, repeat,
         (unsigned long long)

@@ -19,15 +19,15 @@
  *                                   # (CI: docs/RESULTS.md drift gate)
  *   vcb_report --suite-json         # suite JSON lines to stdout — the
  *                                   # superset of `vcb_perf --suite`
- *                                   # tracked as BENCH_report.json
+ *                                   # tracked as BENCH_report.json;
+ *                                   # takes --quick, not --dry-run,
+ *                                   # --out or --check
  *   vcb_report --quick              # smoke: build everything at dry
  *                                   # scale, print a one-line verdict
  *
- * --devices DIR (default "devices") selects the spec directory.  The
- * standalone bench/fig* and bench/tab* binaries print the same
- * sections from the same renderers, so the book cannot drift from
- * them.  Exit status is non-zero when any executed run fails
- * validation or a --check finds drift.
+ * --devices DIR (default "devices") selects the spec directory.  Exit
+ * status is non-zero when any executed run fails validation or a
+ * --check finds drift.
  */
 
 #include <algorithm>
@@ -42,6 +42,7 @@
 #include "common/strutil.h"
 #include "harness/report_book.h"
 #include "sim/device.h"
+#include "sim/device_file.h"
 #include "suite/benchmark.h"
 
 using namespace vcb;
@@ -49,15 +50,17 @@ using namespace vcb;
 namespace {
 
 void
-usage()
+usage(std::FILE *out)
 {
-    std::printf(
+    std::fprintf(
+        out,
         "usage: vcb_report [--devices DIR] [--dry-run] [--quick]\n"
         "                  [--out DIR] [--check FILE] [--suite-json]\n"
         "                  [--jobs N]\n"
         "  --jobs N   sweep-executor worker sessions (default:\n"
         "             hardware concurrency);\n"
-        "             output is byte-identical at any job count\n");
+        "             output is byte-identical at any job count\n"
+        "  --suite-json  takes --quick, not --dry-run, --out or --check\n");
 }
 
 void
@@ -142,16 +145,40 @@ main(int argc, char **argv)
             suite_json = true;
         else if (arg == "--jobs")
             jobs = static_cast<unsigned>(parseCount("--jobs", next(), 1, 256));
-        else {
-            usage();
-            return arg == "--help" ? 0 : 1;
+        else if (arg == "--help") {
+            usage(stdout);
+            return 0;
+        } else {
+            usage(stderr);
+            return 1;
+        }
+    }
+
+    // The suite snapshot runs at its own sizes and only prints: a
+    // --check or --out it ignored could never fail.
+    if (suite_json &&
+        (dry_run || !out_dir.empty() || !check_file.empty())) {
+        std::fprintf(stderr, "vcb_report: --suite-json takes no "
+                             "--dry-run, --out or --check\n");
+        usage(stderr);
+        return 1;
+    }
+
+    // Before the sweep, so a bad --out fails at once, not after it.
+    if (!out_dir.empty()) {
+        for (const std::string &dir : {out_dir, out_dir + "/csv"}) {
+            std::error_code ec;
+            std::filesystem::create_directories(dir, ec);
+            if (ec)
+                fatal("cannot create --out directory '%s': %s",
+                      dir.c_str(), ec.message().c_str());
         }
     }
 
     // Load the spec files and install them as the registry the
     // runtime front-ends enumerate; all runs reference these objects.
     const std::vector<sim::DeviceSpec> &devices =
-        harness::resolveReportDevices(devices_dir);
+        sim::setActiveDeviceRegistry(sim::loadDeviceDir(devices_dir));
     inform("loaded %zu device specs from %s", devices.size(),
            devices_dir.c_str());
 
@@ -193,9 +220,6 @@ main(int argc, char **argv)
     }
 
     if (!out_dir.empty()) {
-        namespace fs = std::filesystem;
-        fs::create_directories(out_dir);
-        fs::create_directories(out_dir + "/csv");
         writeFile(out_dir + "/RESULTS.md", markdown);
         for (const harness::DeviceReport &report : book.devices)
             writeFile(out_dir + "/csv/" +
