@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <iterator>
 #include <map>
 
 #include "common/logging.h"
@@ -357,18 +358,28 @@ buildReportBook(const std::vector<sim::DeviceSpec> &devices, bool dry,
     // Plan the whole run as independent cells before executing any:
     // every result slot is preallocated on the main thread, each cell
     // writes only its own slot, and the merge is therefore structural
-    // (plan order) no matter which worker finishes when.  Cells
+    // no matter in which order cells are queued or finish.  Cells
     // resolve their device by INDEX against the executing worker's
     // private registry (sim::activeDeviceRegistry()[di]) — the Vulkan
     // front-end resolves specs by object identity, so a cell must use
     // its own session's copy, never the planning-time reference.
-    std::vector<std::function<void()>> plan;
+    // Each cell carries a label so the ledger can name its slowest.
+    struct Cell
+    {
+        std::string label;
+        std::function<void()> run;
+    };
+    std::vector<Cell> plan;
+    std::vector<Cell> overlap_cells; // queued ahead of `plan`, below
     std::vector<std::vector<FigureCell>> fig_cells(devices.size());
 
     for (size_t di = 0; di < devices.size(); ++di) {
         const sim::DeviceSpec &dev = devices[di];
         DeviceReport &report = book.devices[di];
         report.dev = &dev;
+        auto label = [&dev](const char *part, const std::string &what) {
+            return dev.name + " / " + part + " / " + what;
+        };
 
         // Bandwidth sweep: one cell per available API column.
         suite::BandwidthConfig bw_cfg;
@@ -377,11 +388,13 @@ buildReportBook(const std::vector<sim::DeviceSpec> &devices, bool dry,
             if (!report.bandwidth.apiRun[a])
                 continue;
             Api api = static_cast<Api>(a);
-            plan.push_back([&book, di, api, bw_cfg] {
-                runBandwidthPanelApi(book.devices[di].bandwidth, api,
-                                     sim::activeDeviceRegistry()[di],
-                                     bw_cfg);
-            });
+            plan.push_back({label("bandwidth", sim::apiName(api)),
+                            [&book, di, api, bw_cfg] {
+                                runBandwidthPanelApi(
+                                    book.devices[di].bandwidth, api,
+                                    sim::activeDeviceRegistry()[di],
+                                    bw_cfg);
+                            }});
         }
 
         // Speedup figure: one cell per (bench x size, API) row slot.
@@ -389,11 +402,17 @@ buildReportBook(const std::vector<sim::DeviceSpec> &devices, bool dry,
         report.figure =
             planSpeedupFigure(dev, dev.mobile, scale, fig_cells[di]);
         for (size_t ci = 0; ci < fig_cells[di].size(); ++ci) {
-            plan.push_back([&book, &fig_cells, di, ci] {
-                runFigureCell(book.devices[di].figure,
-                              fig_cells[di][ci],
-                              sim::activeDeviceRegistry()[di]);
-            });
+            const FigureCell &fc = fig_cells[di][ci];
+            const SpeedupRow &row = report.figure.rows[fc.row];
+            plan.push_back({label("figure", row.bench + " " +
+                                                row.sizeLabel + " / " +
+                                                sim::apiName(fc.api)),
+                            [&book, &fig_cells, di, ci] {
+                                runFigureCell(
+                                    book.devices[di].figure,
+                                    fig_cells[di][ci],
+                                    sim::activeDeviceRegistry()[di]);
+                            }});
         }
 
         // Oversubscription sweep: one cell per available API column
@@ -404,11 +423,13 @@ buildReportBook(const std::vector<sim::DeviceSpec> &devices, bool dry,
             if (!report.oversub.apiRun[a])
                 continue;
             Api api = static_cast<Api>(a);
-            plan.push_back([&book, di, api, os_cfg] {
-                runOversubPanelApi(book.devices[di].oversub, api,
-                                   sim::activeDeviceRegistry()[di],
-                                   os_cfg);
-            });
+            plan.push_back({label("oversub", sim::apiName(api)),
+                            [&book, di, api, os_cfg] {
+                                runOversubPanelApi(
+                                    book.devices[di].oversub, api,
+                                    sim::activeDeviceRegistry()[di],
+                                    os_cfg);
+                            }});
         }
 
         if (!dev.profile(Api::Vulkan).available)
@@ -436,25 +457,30 @@ buildReportBook(const std::vector<sim::DeviceSpec> &devices, bool dry,
                 run.preferred = s == w.preferred;
                 size_t slot = report.strategySweep.size();
                 report.strategySweep.push_back(std::move(run));
-                plan.push_back([&book, di, slot, cfg, s] {
-                    SweepRun &out =
-                        book.devices[di].strategySweep[slot];
-                    suite::WorkloadOptions opts;
-                    opts.strategy = s;
-                    out.result = suite::byName(out.bench).run(
-                        sim::activeDeviceRegistry()[di], Api::Vulkan,
-                        cfg, opts);
-                });
+                plan.push_back(
+                    {label("strategy", bench->name() + " " +
+                                           sizes.front().label + " / " +
+                                           suite::strategyName(s)),
+                     [&book, di, slot, cfg, s] {
+                         SweepRun &out =
+                             book.devices[di].strategySweep[slot];
+                         suite::WorkloadOptions opts;
+                         opts.strategy = s;
+                         out.result = suite::byName(out.bench).run(
+                             sim::activeDeviceRegistry()[di],
+                             Api::Vulkan, cfg, opts);
+                     }});
             }
 
             // Multi-queue overlap sweep: dag benchmarks at their
             // largest paper size, deliberately NOT dry-shrunk —
             // overlap only shows when per-chunk kernel time dominates
             // per-submit overhead, and a shrunken size would render a
-            // flat (misleading) curve.  Simulated runs stay cheap in
-            // real time.  One cell per benchmark (not per queue
-            // count): the three runs share one full-size workload
-            // build, like the serial path always did.
+            // flat (misleading) curve.  One cell per benchmark (not
+            // per queue count): the three runs share one full-size
+            // workload build.  That makes them the book's heaviest
+            // cells, so they are queued ahead of all the others (see
+            // below).
             if (!w.dag)
                 continue;
             size_t slot = report.overlapSweep.size();
@@ -466,35 +492,55 @@ buildReportBook(const std::vector<sim::DeviceSpec> &devices, bool dry,
                 report.overlapSweep.push_back(std::move(run));
             }
             suite::SizeConfig full = sizes.back();
-            plan.push_back([&book, di, slot, full] {
-                DeviceReport &rep = book.devices[di];
-                const sim::DeviceSpec &d =
-                    sim::activeDeviceRegistry()[di];
-                suite::Workload full_w =
-                    suite::byName(rep.overlapSweep[slot].bench)
-                        .workload(full);
-                for (size_t i = 0; i < 3; ++i) {
-                    OverlapRun &out = rep.overlapSweep[slot + i];
-                    suite::WorkloadOptions opts;
-                    opts.strategy = suite::SubmitStrategy::ReRecord;
-                    opts.queueCount = out.queues;
-                    out.result =
-                        suite::runWorkloadVulkan(full_w, d, opts);
-                }
-            });
+            overlap_cells.push_back(
+                {label("overlap", bench->name() + " " + full.label),
+                 [&book, di, slot, full] {
+                     DeviceReport &rep = book.devices[di];
+                     const sim::DeviceSpec &d =
+                         sim::activeDeviceRegistry()[di];
+                     suite::Workload full_w =
+                         suite::byName(rep.overlapSweep[slot].bench)
+                             .workload(full);
+                     for (size_t i = 0; i < 3; ++i) {
+                         OverlapRun &out = rep.overlapSweep[slot + i];
+                         suite::WorkloadOptions opts;
+                         opts.strategy =
+                             suite::SubmitStrategy::ReRecord;
+                         opts.queueCount = out.queues;
+                         out.result =
+                             suite::runWorkloadVulkan(full_w, d, opts);
+                     }
+                 }});
         }
     }
+
+    // Heavy cells first.  The pool hands out cells first-in,
+    // first-out; queued last, one overlap cell would run almost alone
+    // at the tail of the sweep.  Queued first, they start on the
+    // workers at once and the short cells fill in behind them.  Every
+    // cell writes only its own slot, so the order cannot show in the
+    // output.
+    plan.insert(plan.begin(),
+                std::make_move_iterator(overlap_cells.begin()),
+                std::make_move_iterator(overlap_cells.end()));
 
     SweepOptions opts;
     opts.jobs = jobs;
     opts.devices = devices;
     SweepStats stats = runSweepPlan(
-        plan.size(), [&plan](size_t cell) { plan[cell](); }, opts);
+        plan.size(), [&plan](size_t cell) { plan[cell].run(); }, opts);
     book.jobs = stats.jobs;
     book.cells = stats.cells;
     book.sweepWallMs = stats.wallMs;
-    for (double ms : stats.cellSimMs)
-        book.sweepSimMs += ms;
+    for (size_t cell = 0; cell < stats.cells; ++cell) {
+        const double ms = stats.cellWallMs[cell];
+        book.sweepDispatchMs += stats.cellDispatchMs[cell];
+        book.sweepCellWallMs += ms;
+        if (ms > book.slowestCellMs) {
+            book.slowestCellMs = ms;
+            book.slowestCell = plan[cell].label;
+        }
+    }
     return book;
 }
 
@@ -808,21 +854,28 @@ namespace {
  *  --suite-json output (everything above it is simulated and
  *  deterministic), so diff-based consumers filter it with
  *  grep -v '"bench": "sweep"'.  `slowest_cell_ms` is the longest
- *  single cell — the lower bound any job count can reach. */
+ *  single cell — the lower bound any job count can reach — and
+ *  `slowest_cell` names it through `cell_name`. */
 std::string
-jsonSweepLedger(const char *mode, const SweepStats &stats)
+jsonSweepLedger(const char *mode, const SweepStats &stats,
+                const std::function<std::string(size_t)> &cell_name)
 {
-    double sim_ms = 0, slowest = 0;
-    for (double ms : stats.cellSimMs)
-        sim_ms += ms;
-    for (double ms : stats.cellWallMs)
-        slowest = std::max(slowest, ms);
+    double dispatch_ms = 0, slowest_ms = 0;
+    std::string slowest;
+    for (size_t cell = 0; cell < stats.cells; ++cell) {
+        dispatch_ms += stats.cellDispatchMs[cell];
+        if (stats.cellWallMs[cell] > slowest_ms) {
+            slowest_ms = stats.cellWallMs[cell];
+            slowest = cell_name(cell);
+        }
+    }
     return strprintf("{\"bench\": \"sweep\", \"mode\": \"%s\", "
                      "\"jobs\": %u, \"cells\": %zu, "
-                     "\"sweep_wall_ms\": %.1f, \"sweep_sim_ms\": %.1f, "
-                     "\"slowest_cell_ms\": %.1f}\n",
+                     "\"sweep_wall_ms\": %.1f, "
+                     "\"sweep_dispatch_wall_ms\": %.1f, "
+                     "\"slowest_cell_ms\": %.1f, \"slowest_cell\": %s}\n",
                      mode, stats.jobs, stats.cells, stats.wallMs,
-                     sim_ms, slowest);
+                     dispatch_ms, slowest_ms, jsonStr(slowest).c_str());
 }
 
 } // namespace
@@ -901,7 +954,10 @@ suiteJsonLines(const std::vector<sim::DeviceSpec> &devices, bool quick,
         all_ok = all_ok && device_ok;
     }
     out += jsonSuiteTrailer(mode, devices.size(), all_ok);
-    out += jsonSweepLedger(mode, stats);
+    out += jsonSweepLedger(mode, stats, [&](size_t cell) {
+        return devices[cell / benches.size()].name + "/" +
+               benches[cell % benches.size()]->name();
+    });
     if (all_validated)
         *all_validated = all_ok;
     return out;

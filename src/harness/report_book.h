@@ -186,10 +186,15 @@ struct ReportBook
      * these fields never appear in the rendered Markdown/CSV output
      * and the book stays byte-identical at any job count.
      */
-    unsigned jobs = 1;       ///< Worker sessions used.
-    size_t cells = 0;        ///< Plan length.
-    double sweepWallMs = 0;  ///< Whole-plan wall time.
-    double sweepSimMs = 0;   ///< Sum of per-cell simulator time.
+    unsigned jobs = 1;          ///< Worker sessions used.
+    size_t cells = 0;           ///< Plan length.
+    double sweepWallMs = 0;     ///< Whole-plan wall time.
+    double sweepDispatchMs = 0; ///< Sum of per-cell dispatch wall time.
+    double sweepCellWallMs = 0; ///< Sum of per-cell wall time.
+    /** The longest cell and its wall time.  It and sweepCellWallMs /
+     *  jobs are the two lower bounds on sweepWallMs. */
+    std::string slowestCell;
+    double slowestCellMs = 0;
 
     /** Every executed run validated against its CPU reference. */
     bool allValidated() const;
@@ -235,7 +240,8 @@ std::string deviceSlug(const std::string &device_name);
  * Runs on the sweep executor (`jobs` as in buildReportBook); the
  * deterministic lines are byte-identical at any job count.  One
  * trailing ledger line (`"bench": "sweep"` — jobs, cells,
- * sweep_wall_ms, sweep_sim_ms, slowest cell) records the executor's
+ * sweep_wall_ms, sweep_dispatch_wall_ms, the slowest cell's time and
+ * its device/benchmark name) records the executor's
  * wall-clock trajectory; it is the single wall-clock-derived line in
  * BENCH_report.json, so diff-based consumers filter it
  * (grep -v '"bench": "sweep"' — see .github/workflows/ci.yml and

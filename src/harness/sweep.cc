@@ -107,7 +107,7 @@ runSweepPlan(size_t cellCount, const std::function<void(size_t)> &fn,
     stats.jobs = resolveSweepJobs(opts.jobs);
     stats.cells = cellCount;
     stats.cellWallMs.assign(cellCount, 0.0);
-    stats.cellSimMs.assign(cellCount, 0.0);
+    stats.cellDispatchMs.assign(cellCount, 0.0);
     stats.cellWorker.assign(cellCount, 0);
     if (cellCount == 0)
         return stats;
@@ -130,15 +130,17 @@ runSweepPlan(size_t cellCount, const std::function<void(size_t)> &fn,
                 std::optional<ThreadPool::ScopedSerial> serial;
                 if (serial_inner)
                     serial.emplace();
-                const uint64_t sim0 = sim::dispatchWallNsThisThread();
+                const uint64_t dispatch0 =
+                    sim::dispatchWallNsThisThread();
                 const auto t0 = clock::now();
                 fn(cell);
                 stats.cellWallMs[cell] =
                     std::chrono::duration<double, std::milli>(
                         clock::now() - t0)
                         .count();
-                stats.cellSimMs[cell] =
-                    double(sim::dispatchWallNsThisThread() - sim0) / 1e6;
+                stats.cellDispatchMs[cell] =
+                    double(sim::dispatchWallNsThisThread() - dispatch0) /
+                    1e6;
                 stats.cellWorker[cell] = worker;
             });
     } // ~SessionPool runs every cell, then joins

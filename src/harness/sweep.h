@@ -111,7 +111,7 @@ struct SweepOptions
     std::vector<sim::DeviceSpec> devices;
 };
 
-/** Wall/sim-time ledger of one executed plan. */
+/** Wall-time ledger of one executed plan. */
 struct SweepStats
 {
     unsigned jobs = 1;    ///< Worker sessions actually used.
@@ -119,8 +119,9 @@ struct SweepStats
     double wallMs = 0.0;  ///< Whole-plan wall time (spawn..join).
     /** Per-cell wall time, plan order. */
     std::vector<double> cellWallMs;
-    /** Per-cell simulator time (engine dispatch wall on the worker). */
-    std::vector<double> cellSimMs;
+    /** Per-cell host wall time inside engine dispatch on the worker
+     *  (sim::dispatchWallNsThisThread), plan order. */
+    std::vector<double> cellDispatchMs;
     /** Executing worker slot per cell (tests / diagnostics). */
     std::vector<unsigned> cellWorker;
 };

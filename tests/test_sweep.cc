@@ -102,7 +102,7 @@ TEST(SweepPlan, MergesInPlanOrderUnderShuffledCompletion)
     EXPECT_EQ(stats.jobs, 4u);
     EXPECT_EQ(stats.cells, kCells);
     ASSERT_EQ(stats.cellWallMs.size(), kCells);
-    ASSERT_EQ(stats.cellSimMs.size(), kCells);
+    ASSERT_EQ(stats.cellDispatchMs.size(), kCells);
     ASSERT_EQ(stats.cellWorker.size(), kCells);
     for (size_t i = 0; i < kCells; ++i) {
         // The merge is positional: cell i's result sits at slot i no
@@ -127,6 +127,22 @@ TEST(SweepPlan, SingleJobRunsOffCallerThread)
         opts);
     EXPECT_EQ(stats.jobs, 1u);
     EXPECT_NE(cell_thread, caller);
+}
+
+/** One worker takes cells in the order they were queued.  The report
+ *  book queues its heavy cells first and relies on this first-in,
+ *  first-out order to start them first. */
+TEST(SweepPlan, SingleJobRunsCellsInPlanOrder)
+{
+    constexpr size_t kCells = 32;
+    std::vector<size_t> order;
+    SweepOptions opts;
+    opts.jobs = 1;
+    runSweepPlan(kCells, [&](size_t cell) { order.push_back(cell); },
+                 opts);
+    ASSERT_EQ(order.size(), kCells);
+    for (size_t i = 0; i < kCells; ++i)
+        EXPECT_EQ(order[i], i);
 }
 
 // --- per-worker registry isolation -----------------------------------------
@@ -190,9 +206,10 @@ TEST(SweepPlan, WorkersGetPrivateRegistrySessions)
  *  CSV and the deterministic suite-JSON lines — is byte-identical at
  *  jobs=1 and jobs=4.  The six parts include the UVM expansion
  *  devices (Adreno 640, Mali-G76), whose figures run paged workloads.
- *  This runs in the sanitize job too
- *  (smoke label), so data races in the sweep would surface here under
- *  TSan/ASan. */
+ *  CI's tsan job runs this test under ThreadSanitizer, so a data race
+ *  in the sweep fails it there; the sanitize job runs it under
+ *  ASan/UBSan (smoke label).  Each book's ledger must also name its
+ *  slowest cell. */
 TEST(SweepBook, QuickBookByteIdenticalAcrossJobCounts)
 {
     const char *dir = std::getenv("VCB_DEVICES_DIR");
@@ -215,6 +232,14 @@ TEST(SweepBook, QuickBookByteIdenticalAcrossJobCounts)
     EXPECT_EQ(book4.jobs, 4u);
     EXPECT_EQ(book1.cells, book4.cells);
     EXPECT_GT(book1.cells, 0u);
+    for (const ReportBook *book : {&book1, &book4}) {
+        EXPECT_GT(book->slowestCellMs, 0.0);
+        EXPECT_LE(book->slowestCellMs, book->sweepWallMs);
+        bool named = false;
+        for (const std::string &name : names)
+            named = named || book->slowestCell.rfind(name, 0) == 0;
+        EXPECT_TRUE(named) << "slowest cell: " << book->slowestCell;
+    }
 
     EXPECT_EQ(renderResultsBook(book1), renderResultsBook(book4));
     ASSERT_EQ(book1.devices.size(), book4.devices.size());

@@ -172,7 +172,7 @@ runSuiteSnapshot(const sim::DeviceSpec &dev, sim::Api api, bool quick,
                     sim::apiName(api), dev.name.c_str(),
                     r.strategy.c_str(), r.kernelRegionNs, r.totalNs,
                     (unsigned long long)r.launches, stats.cellWallMs[b],
-                    stats.cellSimMs[b], ok ? "true" : "false");
+                    stats.cellDispatchMs[b], ok ? "true" : "false");
         std::fflush(stdout);
     }
     std::printf("{\"bench\": \"suite\", \"mode\": \"%s\", "

@@ -195,8 +195,11 @@ main(int argc, char **argv)
         harness::buildReportBook(devices, dry, jobs);
     // Wall-clock trajectory of the build (stderr: the book itself is
     // deterministic and byte-diffed, so it never carries wall time).
-    inform("sweep: %zu cells on %u jobs in %.1f ms (sim %.1f ms)",
-           book.cells, book.jobs, book.sweepWallMs, book.sweepSimMs);
+    inform("sweep: %zu cells on %u jobs in %.1f ms (dispatch %.1f ms); "
+           "slowest cell %.1f ms (%s), cell wall / jobs %.1f ms",
+           book.cells, book.jobs, book.sweepWallMs, book.sweepDispatchMs,
+           book.slowestCellMs, book.slowestCell.c_str(),
+           book.sweepCellWallMs / book.jobs);
     std::string markdown = harness::renderResultsBook(book);
     bool ok = book.allValidated();
     if (!ok)
