@@ -94,7 +94,7 @@ makeCompileCacheKey(const spirv::Module &m, const DeviceSpec &dev,
     cfg |= (opt.fuseAddrMem ? 1u : 0u) << 4;
     cfg |= (opt.fuseMulAdd ? 1u : 0u) << 5;
     cfg |= (opt.fuseSuperops ? 1u : 0u) << 6;
-    // lowerKernel gates superop formation on the VCB_SUPEROPS runtime
+    // lowerKernel gates superop formation on the setSuperopsEnabled()
     // switch on top of LowerOptions, so it is part of the content key.
     cfg |= (superopsEnabled() ? 1u : 0u) << 7;
     key.config = cfg;

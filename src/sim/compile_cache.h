@@ -18,7 +18,7 @@
  *    binary serialization (spirv::Module::serialize — name, local
  *    size, bindings, push/shared sizes and the full code stream);
  *  - the effective lowering configuration (compileLowerOptions() bits
- *    plus the VCB_SUPEROPS runtime gate, which lowerKernel consults);
+ *    plus the setSuperopsEnabled() gate, which lowerKernel consults);
  *  - the device, as an FNV-1a hash of its canonical spec-file text
  *    (sim/device_file.h serializeDevice — every architectural and
  *    driver-profile field, so two near-identical DeviceSpecs can never
@@ -88,7 +88,7 @@ struct CompileCacheKey
 };
 
 /** Key for one compileKernel invocation; the lowering options it will
- *  use (compileLowerOptions()) and the VCB_SUPEROPS runtime gate are
+ *  use (compileLowerOptions()) and the setSuperopsEnabled() gate are
  *  folded in here. */
 CompileCacheKey makeCompileCacheKey(const spirv::Module &m,
                                     const DeviceSpec &dev, Api api);

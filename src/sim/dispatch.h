@@ -16,18 +16,20 @@ struct CompiledKernel;
 /**
  * Executor tiers, fastest first.  Selection is per kernel from
  * lowering metadata (chooseExecTier) unless robust access forces the
- * instrumented tier, or VCB_EXECUTOR forces one for debugging.  A
+ * instrumented tier, or a test forces one (setExecutorOverride).  A
  * sampled workgroup stays on the chosen tier; only the lane-major tier
- * hands it to the instrumented one.  Every tier produces bit-identical buffers, DispatchStats
- * and kernelNs — the tiers differ only in host speed.
+ * hands it to the instrumented one.  Every tier produces bit-identical
+ * buffers, DispatchStats and kernelNs — the tiers differ only in host
+ * speed.
  */
 enum class ExecTier : uint8_t
 {
-    /** Branch/atomic-free kernels: the whole dispatch body runs as one
-     *  fused loop over fixed-width lane blocks, no divergence checks. */
+    /** Branch/atomic-free kernels: every phase runs op-major as one
+     *  whole-workgroup span with the divergence checks compiled out. */
     Trace,
-    /** Op-major lockstep over lane blocks of W; a divergent branch or
-     *  atomic bails only the affected block to the lane-major tier. */
+    /** Op-major over the whole workgroup; a divergent branch or an
+     *  atomic splits the phase into spans over lane blocks of W, and
+     *  a block that splits again runs lane-major. */
     Block,
     /** One lane at a time to phase end — the order-defining reference
      *  executor (atomics observe exactly this lane order). */
@@ -40,11 +42,10 @@ enum class ExecTier : uint8_t
 /** Symbolic tier name ("trace", "block", "lane", "instrumented"). */
 const char *execTierName(ExecTier t);
 
-/** Forced tier parsed from VCB_EXECUTOR (same names), cached on first
- *  use; returns ExecTier::Count when unset/auto. */
+/** The tier setExecutorOverride forced; ExecTier::Count when none
+ *  (auto). */
 ExecTier executorOverride();
-/** Test hook: force a tier programmatically (Count = back to auto /
- *  re-read VCB_EXECUTOR). */
+/** Test hook: force a tier (Count = back to auto). */
 void setExecutorOverride(ExecTier t);
 
 /** A storage buffer as seen by the interpreter: a span of words. */

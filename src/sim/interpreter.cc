@@ -49,9 +49,7 @@ evalTemplateOp(const MicroOp &op, uint32_t *r, const DispatchContext &ctx,
         break;
       }
       case MOp::INot: r[op.a] = ~r[op.b]; break;
-      case MOp::INeg:
-        r[op.a] = static_cast<uint32_t>(-bitsToS(r[op.b]));
-        break;
+      case MOp::INeg: r[op.a] = 0u - r[op.b]; break;
       case MOp::FAbs: r[op.a] = fToBits(std::fabs(bitsToF(r[op.b]))); break;
       case MOp::FNeg: r[op.a] = fToBits(-bitsToF(r[op.b])); break;
       case MOp::FSqrt:
@@ -212,39 +210,44 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
          (sampler != nullptr && tier == ExecTier::LaneMajor))
             ? ExecTier::Instrumented
             : tier;
-    const bool blocked = t == ExecTier::Trace || t == ExecTier::Block;
-    sampling = blocked ? sampler : nullptr;
+    const bool op_major = t == ExecTier::Trace || t == ExecTier::Block;
+    sampling = op_major ? sampler : nullptr;
     ws.tierWorkgroups[static_cast<size_t>(t)] += 1;
 
     // Phased execution, one executor call per phase: every lane runs
     // from its pc until Ret or Barrier.  At each phase boundary either
     // all lanes returned (done), all stopped at a barrier (release and
     // run the next phase), or the kernel diverged (trap).  Barrier-free
-    // kernels complete in a single phase.  On the block/trace tiers,
-    // phases whose lanes all resume at one pc run over lane blocks;
-    // phases with scattered resume points (and the lane-major /
-    // instrumented tiers throughout) go lane-major.
+    // kernels complete in a single phase.  On the block/trace tiers a
+    // phase whose lanes all resume at one pc runs op-major as one
+    // whole-workgroup span; a phase that splits there (a divergent
+    // branch or an atomic), or that starts from scattered resume
+    // points, continues over lane blocks (runPhaseBlocks).  The
+    // lane-major / instrumented tiers run every phase lane by lane.
     std::fill(pcs.begin(), pcs.end(), 0u);
-    bool uniform = blocked;
+    bool uniform = op_major;
     for (;;) {
         uint32_t done = 0;
         uint32_t at_barrier = 0;
-        if (t == ExecTier::Instrumented)
+        if (t == ExecTier::Instrumented) {
             runPhase<true>(0, localCount, wx, wy, wz, ws, sampler, done,
                            at_barrier);
-        else if (t == ExecTier::LaneMajor)
+        } else if (t == ExecTier::LaneMajor) {
             runPhase<false>(0, localCount, wx, wy, wz, ws, nullptr,
                             done, at_barrier);
-        else if (uniform && t == ExecTier::Trace)
-            runPhaseWg<kBlockW, true>(pcs[0], wx, wy, wz, ws, done,
-                                      at_barrier);
-        else if (uniform)
-            runPhaseWg<kBlockW, false>(pcs[0], wx, wy, wz, ws, done,
-                                       at_barrier);
-        else
-            // Scattered resume points (lanes released from different
-            // barriers): per-block containment from the saved pcs.
-            runPhaseBlocks<kBlockW>(wx, wy, wz, ws, done, at_barrier);
+        } else {
+            SpanEnd end = SpanEnd::Split; // scattered resume points
+            if (uniform && t == ExecTier::Trace)
+                end = runSpan<0, true>(0, pcs[0], wx, wy, wz, ws);
+            else if (uniform)
+                end = runSpan<0, false>(0, pcs[0], wx, wy, wz, ws);
+            if (end == SpanEnd::Done)
+                done = localCount;
+            else if (end == SpanEnd::Barrier)
+                at_barrier = localCount;
+            else
+                runPhaseBlocks(wx, wy, wz, ws, done, at_barrier);
+        }
         if (at_barrier == 0)
             break;
         if (done > 0) {
@@ -255,7 +258,7 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
         }
         // Release the barrier: every lane resumes past its Barrier.
         ws.barriers += 1;
-        if (blocked) {
+        if (op_major) {
             uniform = true;
             for (uint32_t lane = 1; lane < localCount && uniform; ++lane)
                 uniform = pcs[lane] == pcs[0];
@@ -421,15 +424,13 @@ VCB_OP(IDiv)
     if (R(ip->c) == 0)
         panic("kernel '%s' @%u: integer division by zero",
               k.module.name.c_str(), pcOf());
-    R(ip->a) =
-        static_cast<uint32_t>(bitsToS(R(ip->b)) / bitsToS(R(ip->c)));
+    R(ip->a) = sdivWrap(R(ip->b), R(ip->c));
     NEXT;
 VCB_OP(IRem)
     if (R(ip->c) == 0)
         panic("kernel '%s' @%u: integer remainder by zero",
               k.module.name.c_str(), pcOf());
-    R(ip->a) =
-        static_cast<uint32_t>(bitsToS(R(ip->b)) % bitsToS(R(ip->c)));
+    R(ip->a) = sremWrap(R(ip->b), R(ip->c));
     NEXT;
 VCB_OP(IMin)
     R(ip->a) = static_cast<uint32_t>(
@@ -443,7 +444,7 @@ VCB_OP(IAnd) R(ip->a) = R(ip->b) & R(ip->c); NEXT;
 VCB_OP(IOr)  R(ip->a) = R(ip->b) | R(ip->c); NEXT;
 VCB_OP(IXor) R(ip->a) = R(ip->b) ^ R(ip->c); NEXT;
 VCB_OP(INot) R(ip->a) = ~R(ip->b); NEXT;
-VCB_OP(INeg) R(ip->a) = static_cast<uint32_t>(-bitsToS(R(ip->b))); NEXT;
+VCB_OP(INeg) R(ip->a) = 0u - R(ip->b); NEXT;
 VCB_OP(IShl) R(ip->a) = R(ip->b) << (R(ip->c) & 31); NEXT;
 VCB_OP(IShrU) R(ip->a) = R(ip->b) >> (R(ip->c) & 31); NEXT;
 VCB_OP(IShrS)
@@ -762,13 +763,13 @@ VCB_OP(FDivStSh) {
 }
 
 VCB_OP(IDivRem) {
-    const int32_t den = bitsToS(R(ip->c));
+    const uint32_t num = R(ip->b);
+    const uint32_t den = R(ip->c);
     if (den == 0)
         panic("kernel '%s' @%u: integer division by zero",
               k.module.name.c_str(), pcOf());
-    const int32_t num = bitsToS(R(ip->b));
-    R(ip->a) = static_cast<uint32_t>(num / den);
-    R(ip->d) = static_cast<uint32_t>(num % den);
+    R(ip->a) = sdivWrap(num, den);
+    R(ip->d) = sremWrap(num, den);
     NEXT;
 }
 
@@ -1151,753 +1152,18 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
     }
 }
 
-/** Block lane vector of register x: W contiguous lanes starting at
- *  the current block base (rb points at the block's lane-0 column of
- *  the reg-major file). */
-#define BV(x) (rb + static_cast<size_t>(x) * lc)
-/** Element-wise binary op over one lane block: compile-time trip
- *  count W over contiguous operands, so the compiler unrolls and
- *  vectorizes.  A may alias B/C only exactly (vector offsets are
- *  multiples of lc), which keeps per-lane semantics. */
-#define BBIN(name, expr)                                                  \
-    case MOp::name: {                                                     \
-        uint32_t *const A = BV(in.a);                                     \
-        const uint32_t *const B = BV(in.b);                               \
-        const uint32_t *const C = BV(in.c);                               \
-        for (uint32_t l = 0; l < W; ++l)                                  \
-            A[l] = (expr);                                                \
-        break;                                                            \
-    }
-#define BUN(name, expr)                                                   \
-    case MOp::name: {                                                     \
-        uint32_t *const A = BV(in.a);                                     \
-        const uint32_t *const B = BV(in.b);                               \
-        for (uint32_t l = 0; l < W; ++l)                                  \
-            A[l] = (expr);                                                \
-        break;                                                            \
-    }
-/** Fused compare+branch: flags written per block lane; a uniform
- *  outcome transfers the whole block, divergence bails only this
- *  block's W lanes to the lane-major executor. */
-#define BCMPBR(mop, expr)                                                 \
-    case MOp::mop: {                                                      \
-        uint32_t *const A = BV(in.a);                                     \
-        const uint32_t *const B = BV(in.b);                               \
-        const uint32_t *const C = BV(in.c);                               \
-        uint32_t taken = 0;                                               \
-        const uint32_t sense = in.aux;                                    \
-        for (uint32_t l = 0; l < W; ++l) {                                \
-            const uint32_t x = B[l];                                      \
-            const uint32_t y = C[l];                                      \
-            const uint32_t cond = (expr);                                 \
-            A[l] = cond;                                                  \
-            taken += cond == sense;                                       \
-        }                                                                 \
-        if (taken == 0 || taken == W) {                                   \
-            pc = taken ? in.d : pc + 1;                                   \
-            ws.laneCycles +=                                              \
-                static_cast<uint64_t>(cost_from[pc]) * W;                 \
-            continue;                                                     \
-        }                                                                 \
-        for (uint32_t l = 0; l < W; ++l)                                  \
-            pcs[base + l] = A[l] == sense ? in.d : pc + 1;                \
-        runLanes(base, base + W, wx, wy, wz, ws, done, at_barrier);       \
-        goto block_done;                                                  \
-    }
-
-template <uint32_t W>
-void
-Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
-                            WorkgroupStats &ws, uint32_t &done_out,
-                            uint32_t &barrier_out)
-{
-    const CompiledKernel &k = *kernel;
-    const MicroKernel &mk = *k.micro;
-    const MicroOp *const ops = mk.ops.data();
-    const uint32_t *const cost_from = mk.costFrom.data();
-    const size_t lc = localCount;
-    uint32_t *const regs0 = regs.data();
-    const BufferBinding *const bufs = ctx->buffers.data();
-    uint64_t *const site_exec = ws.siteExec.data();
-    uint32_t *const sh = shared.data();
-    const uint64_t shared_words = shared.size();
-    const uint32_t lx = k.module.localSize[0];
-    const uint32_t ly = k.module.localSize[1];
-
-    CoalesceSampler *const smp = sampling;
-
-    uint32_t done = 0;
-    uint32_t at_barrier = 0;
-    uint32_t pc = 0;
-
-    auto oob = [&](uint32_t binding, uint64_t addr,
-                   uint64_t words) -> void {
-        panic("kernel '%s' @%u: binding %u access [%llu] out of bounds "
-              "(%llu words)",
-              k.module.name.c_str(), pc, binding,
-              (unsigned long long)addr, (unsigned long long)words);
-    };
-    auto shOob = [&](const char *what, uint64_t addr) -> void {
-        panic("kernel '%s' @%u: shared %s [%llu] out of bounds "
-              "(%llu words)",
-              k.module.name.c_str(), pc, what, (unsigned long long)addr,
-              (unsigned long long)shared_words);
-    };
-
-    /**
-     * One block global load.  Classify the address vector once:
-     *  - contiguous (addr[l] == addr[0] + l) and fully in bounds: one
-     *    bounds test, one W-word memcpy.  Global words are relaxed
-     *    atomics elsewhere; a word-aligned block copy cannot tear
-     *    individual words on supported hosts, and the simulator's
-     *    data-race-free execution contract already makes concurrent
-     *    conflicting writers to these words UB (benign same-value
-     *    races, which a copy preserves, excepted).
-     *  - uniform (every lane reads one address): one atomic load,
-     *    broadcast — kmeans' centroid reads.
-     *  - scattered: per-lane bounds checks, then per-lane loads.
-     */
-    auto loadBlock = [&](uint32_t *A, const uint32_t *ADDR,
-                         uint32_t binding) -> void {
-        const BufferBinding &buf = bufs[binding];
-        const uint32_t a0 = ADDR[0];
-        bool contig = true;
-        bool unif = true;
-        for (uint32_t l = 1; l < W; ++l) {
-            contig &= ADDR[l] == a0 + l;
-            unif &= ADDR[l] == a0;
-        }
-        if (contig && static_cast<uint64_t>(a0) + W <= buf.words) {
-            std::memcpy(A, buf.data + a0, W * sizeof(uint32_t));
-            return;
-        }
-        if (a0 >= buf.words) [[unlikely]]
-            oob(binding, a0, buf.words);
-        if (unif) {
-            const uint32_t v = std::atomic_ref<uint32_t>(buf.data[a0])
-                                   .load(std::memory_order_relaxed);
-            for (uint32_t l = 0; l < W; ++l)
-                A[l] = v;
-            return;
-        }
-        for (uint32_t l = 1; l < W; ++l)
-            if (ADDR[l] >= buf.words) [[unlikely]]
-                oob(binding, ADDR[l], buf.words);
-        for (uint32_t l = 0; l < W; ++l)
-            A[l] = std::atomic_ref<uint32_t>(buf.data[ADDR[l]])
-                       .load(std::memory_order_relaxed);
-    };
-
-    /** One block global store: contiguous in-bounds addresses become a
-     *  single W-word memcpy (see loadBlock for the race argument);
-     *  anything else stores per lane in lane order (duplicate
-     *  addresses: last lane wins, as lane-major). */
-    auto storeBlock = [&](uint32_t binding, const uint32_t *ADDR,
-                          const uint32_t *S) -> void {
-        const BufferBinding &buf = bufs[binding];
-        const uint32_t a0 = ADDR[0];
-        bool contig = true;
-        for (uint32_t l = 1; l < W; ++l)
-            contig &= ADDR[l] == a0 + l;
-        if (contig && static_cast<uint64_t>(a0) + W <= buf.words) {
-            std::memcpy(buf.data + a0, S, W * sizeof(uint32_t));
-            return;
-        }
-        for (uint32_t l = 0; l < W; ++l)
-            if (ADDR[l] >= buf.words) [[unlikely]]
-                oob(binding, ADDR[l], buf.words);
-        for (uint32_t l = 0; l < W; ++l)
-            std::atomic_ref<uint32_t>(buf.data[ADDR[l]])
-                .store(S[l], std::memory_order_relaxed);
-    };
-
-    /** Shared-memory bounds: one OR-reduced check per block, the slow
-     *  per-lane walk only to report the offending lane. */
-    auto shCheck = [&](const uint32_t *ADDR, const char *what) -> void {
-        uint32_t bad = 0;
-        for (uint32_t l = 0; l < W; ++l)
-            bad |= static_cast<uint32_t>(ADDR[l] >= shared_words);
-        if (bad) [[unlikely]] {
-            for (uint32_t l = 0; l < W; ++l)
-                if (ADDR[l] >= shared_words)
-                    shOob(what, ADDR[l]);
-        }
-    };
-
-    // Full blocks of W lanes each run the REST of the phase before the
-    // next block starts.  Sequential block order preserves the
-    // lane-major executor's global atomic order exactly: a block that
-    // reaches an observable-order op (atomic) bails to lane-major
-    // below BEFORE executing it, and everything the block ran lockstep
-    // up to that point is order-unobservable under the data-race-free
-    // contract.
-    const uint32_t full = static_cast<uint32_t>(lc - lc % W);
-    for (uint32_t base = 0; base < full; base += W) {
-        uint32_t *const rb = regs0 + base;
-        const LaneId *const lid = lids.data() + base;
-        // Resume from the per-lane pcs; a block whose lanes disagree
-        // runs lane-major as a block (containing the divergence).
-        pc = pcs[base];
-        bool blk_uniform = true;
-        for (uint32_t l = 1; l < W; ++l)
-            blk_uniform &= pcs[base + l] == pc;
-        if (!blk_uniform) {
-            runLanes(base, base + W, wx, wy, wz, ws, done, at_barrier);
-            continue;
-        }
-        // Charge the straight-line run for the block up front, as the
-        // lane-major executor does per lane at entry.
-        ws.laneCycles += static_cast<uint64_t>(cost_from[pc]) * W;
-        for (;;) {
-            const MicroOp &in = ops[pc];
-            switch (in.op) {
-              case MOp::Const: {
-                uint32_t *const A = BV(in.a);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = in.b;
-                break;
-              }
-              case MOp::Mov: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = B[l];
-                break;
-              }
-              case MOp::LdBuiltin: {
-                using spirv::Builtin;
-                uint32_t *const A = BV(in.a);
-                switch (static_cast<Builtin>(in.aux)) {
-                  case Builtin::GlobalIdX:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = wx * lx + lid[l].x;
-                    break;
-                  case Builtin::GlobalIdY:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = wy * ly + lid[l].y;
-                    break;
-                  case Builtin::GlobalIdZ:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = wz * k.module.localSize[2] + lid[l].z;
-                    break;
-                  case Builtin::LocalIdX:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = lid[l].x;
-                    break;
-                  case Builtin::LocalIdY:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = lid[l].y;
-                    break;
-                  case Builtin::LocalIdZ:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = lid[l].z;
-                    break;
-                  case Builtin::LocalLinearId:
-                    for (uint32_t l = 0; l < W; ++l)
-                        A[l] = base + l;
-                    break;
-                  case Builtin::GroupIdX: std::fill_n(A, W, wx); break;
-                  case Builtin::GroupIdY: std::fill_n(A, W, wy); break;
-                  case Builtin::GroupIdZ: std::fill_n(A, W, wz); break;
-                  case Builtin::NumGroupsX:
-                    std::fill_n(A, W, ctx->groups[0]);
-                    break;
-                  case Builtin::NumGroupsY:
-                    std::fill_n(A, W, ctx->groups[1]);
-                    break;
-                  case Builtin::NumGroupsZ:
-                    std::fill_n(A, W, ctx->groups[2]);
-                    break;
-                  case Builtin::LocalSizeX: std::fill_n(A, W, lx); break;
-                  case Builtin::LocalSizeY: std::fill_n(A, W, ly); break;
-                  case Builtin::LocalSizeZ:
-                    std::fill_n(A, W, k.module.localSize[2]);
-                    break;
-                  case Builtin::GlobalSizeX:
-                    std::fill_n(A, W, ctx->groups[0] * lx);
-                    break;
-                  case Builtin::GlobalSizeY:
-                    std::fill_n(A, W, ctx->groups[1] * ly);
-                    break;
-                  case Builtin::GlobalSizeZ:
-                    std::fill_n(A, W,
-                                ctx->groups[2] * k.module.localSize[2]);
-                    break;
-                  case Builtin::Count: std::fill_n(A, W, 0u); break;
-                }
-                break;
-              }
-              case MOp::LdPush: {
-                uint32_t *const A = BV(in.a);
-                std::fill_n(A, W, ctx->push[in.b]);
-                break;
-              }
-
-              BBIN(IAdd, B[l] + C[l])
-              BBIN(ISub, B[l] - C[l])
-              BBIN(IMul, B[l] * C[l])
-              case MOp::IDiv: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                for (uint32_t l = 0; l < W; ++l) {
-                    if (C[l] == 0)
-                        panic("kernel '%s' @%u: integer division by "
-                              "zero",
-                              k.module.name.c_str(), pc);
-                    A[l] = static_cast<uint32_t>(bitsToS(B[l]) /
-                                                 bitsToS(C[l]));
-                }
-                break;
-              }
-              case MOp::IRem: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                for (uint32_t l = 0; l < W; ++l) {
-                    if (C[l] == 0)
-                        panic("kernel '%s' @%u: integer remainder by "
-                              "zero",
-                              k.module.name.c_str(), pc);
-                    A[l] = static_cast<uint32_t>(bitsToS(B[l]) %
-                                                 bitsToS(C[l]));
-                }
-                break;
-              }
-              BBIN(IMin, static_cast<uint32_t>(
-                             std::min(bitsToS(B[l]), bitsToS(C[l]))))
-              BBIN(IMax, static_cast<uint32_t>(
-                             std::max(bitsToS(B[l]), bitsToS(C[l]))))
-              BBIN(IAnd, B[l] & C[l])
-              BBIN(IOr, B[l] | C[l])
-              BBIN(IXor, B[l] ^ C[l])
-              BUN(INot, ~B[l])
-              BUN(INeg, static_cast<uint32_t>(-bitsToS(B[l])))
-              BBIN(IShl, B[l] << (C[l] & 31))
-              BBIN(IShrU, B[l] >> (C[l] & 31))
-              BBIN(IShrS,
-                   static_cast<uint32_t>(bitsToS(B[l]) >> (C[l] & 31)))
-
-              BBIN(FAdd, fToBits(bitsToF(B[l]) + bitsToF(C[l])))
-              BBIN(FSub, fToBits(bitsToF(B[l]) - bitsToF(C[l])))
-              BBIN(FMul, fToBits(bitsToF(B[l]) * bitsToF(C[l])))
-              BBIN(FDiv, fToBits(bitsToF(B[l]) / bitsToF(C[l])))
-              BBIN(FMin,
-                   fToBits(std::fmin(bitsToF(B[l]), bitsToF(C[l]))))
-              BBIN(FMax,
-                   fToBits(std::fmax(bitsToF(B[l]), bitsToF(C[l]))))
-              BUN(FAbs, fToBits(std::fabs(bitsToF(B[l]))))
-              BUN(FNeg, fToBits(-bitsToF(B[l])))
-              BUN(FSqrt, fToBits(std::sqrt(bitsToF(B[l]))))
-              BUN(FExp, fToBits(std::exp(bitsToF(B[l]))))
-              BUN(FLog, fToBits(std::log(bitsToF(B[l]))))
-              BUN(FFloor, fToBits(std::floor(bitsToF(B[l]))))
-              BUN(FSin, fToBits(std::sin(bitsToF(B[l]))))
-              BUN(FCos, fToBits(std::cos(bitsToF(B[l]))))
-              case MOp::FFma: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                const uint32_t *const D = BV(in.d);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = fToBits(std::fma(bitsToF(B[l]),
-                                            bitsToF(C[l]),
-                                            bitsToF(D[l])));
-                break;
-              }
-              BBIN(FPow, fToBits(std::pow(bitsToF(B[l]), bitsToF(C[l]))))
-              BUN(CvtSF, fToBits(static_cast<float>(bitsToS(B[l]))))
-              BUN(CvtFS, static_cast<uint32_t>(
-                             static_cast<int32_t>(bitsToF(B[l]))))
-
-              BBIN(IEq, B[l] == C[l])
-              BBIN(INe, B[l] != C[l])
-              BBIN(ILt, bitsToS(B[l]) < bitsToS(C[l]))
-              BBIN(ILe, bitsToS(B[l]) <= bitsToS(C[l]))
-              BBIN(IGt, bitsToS(B[l]) > bitsToS(C[l]))
-              BBIN(IGe, bitsToS(B[l]) >= bitsToS(C[l]))
-              BBIN(ULt, B[l] < C[l])
-              BBIN(UGe, B[l] >= C[l])
-              BBIN(FEq, bitsToF(B[l]) == bitsToF(C[l]))
-              BBIN(FNe, bitsToF(B[l]) != bitsToF(C[l]))
-              BBIN(FLt, bitsToF(B[l]) < bitsToF(C[l]))
-              BBIN(FLe, bitsToF(B[l]) <= bitsToF(C[l]))
-              BBIN(FGt, bitsToF(B[l]) > bitsToF(C[l]))
-              BBIN(FGe, bitsToF(B[l]) >= bitsToF(C[l]))
-              case MOp::Select: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                const uint32_t *const D = BV(in.d);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = B[l] ? C[l] : D[l];
-                break;
-              }
-
-              // A sampled workgroup records each global op's addresses
-              // before the op runs (a load may overwrite them).
-              case MOp::LdBuf: {
-                if (smp)
-                    smp->recordLanes(base, W, in.d, BV(in.c));
-                loadBlock(BV(in.a), BV(in.c), in.b);
-                site_exec[in.d] += W;
-                break;
-              }
-              case MOp::StBuf: {
-                if (smp)
-                    smp->recordLanes(base, W, in.d, BV(in.b));
-                storeBlock(in.a, BV(in.b), BV(in.c));
-                site_exec[in.d] += W;
-                break;
-              }
-              case MOp::LdShared: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const ADDR = BV(in.b);
-                shCheck(ADDR, "load");
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = sh[ADDR[l]];
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::StShared: {
-                const uint32_t *const ADDR = BV(in.a);
-                const uint32_t *const S = BV(in.b);
-                shCheck(ADDR, "store");
-                for (uint32_t l = 0; l < W; ++l)
-                    sh[ADDR[l]] = S[l];
-                ws.sharedAccesses += W;
-                break;
-              }
-
-              case MOp::IAddLd: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = B[l] + C[l];
-                if (smp)
-                    smp->recordLanes(base, W, in.e, A);
-                loadBlock(BV(in.d), A, in.aux);
-                site_exec[in.e] += W;
-                break;
-              }
-              case MOp::IAddSt: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = B[l] + C[l];
-                if (smp)
-                    smp->recordLanes(base, W, in.e, A);
-                storeBlock(in.aux, A, BV(in.d));
-                site_exec[in.e] += W;
-                break;
-              }
-              case MOp::IMulAdd: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                for (uint32_t l = 0; l < W; ++l) {
-                    const uint32_t t = B[l] * C[l];
-                    A[l] = t;
-                    D[l] = t + E[l];
-                }
-                break;
-              }
-              case MOp::IAddAdd: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                for (uint32_t l = 0; l < W; ++l) {
-                    const uint32_t t = B[l] + C[l];
-                    A[l] = t;
-                    D[l] = t + E[l];
-                }
-                break;
-              }
-              case MOp::IAddLdSh: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = B[l] + C[l];
-                shCheck(A, "load");
-                for (uint32_t l = 0; l < W; ++l)
-                    D[l] = sh[A[l]];
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::IAddStSh: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                const uint32_t *const D = BV(in.d);
-                for (uint32_t l = 0; l < W; ++l)
-                    A[l] = B[l] + C[l];
-                shCheck(A, "store");
-                for (uint32_t l = 0; l < W; ++l)
-                    sh[A[l]] = D[l];
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::MulAddLdSh: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                uint32_t *const X = BV(in.aux);
-                for (uint32_t l = 0; l < W; ++l) {
-                    const uint32_t t = B[l] * C[l];
-                    A[l] = t;
-                    D[l] = t + E[l];
-                }
-                shCheck(D, "load");
-                for (uint32_t l = 0; l < W; ++l)
-                    X[l] = sh[D[l]];
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::MulAddStSh: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                const uint32_t *const X = BV(in.aux);
-                for (uint32_t l = 0; l < W; ++l) {
-                    const uint32_t t = B[l] * C[l];
-                    A[l] = t;
-                    D[l] = t + E[l];
-                }
-                shCheck(D, "store");
-                for (uint32_t l = 0; l < W; ++l)
-                    sh[D[l]] = X[l];
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::FMulFAdd: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                const bool left = in.aux & 1;
-                for (uint32_t l = 0; l < W; ++l) {
-                    const float t = bitsToF(B[l]) * bitsToF(C[l]);
-                    A[l] = fToBits(t);
-                    const float z = bitsToF(E[l]);
-                    D[l] = fToBits(left ? t + z : z + t);
-                }
-                break;
-              }
-              case MOp::FMulFSub: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                const bool left = in.aux & 1;
-                for (uint32_t l = 0; l < W; ++l) {
-                    const float t = bitsToF(B[l]) * bitsToF(C[l]);
-                    A[l] = fToBits(t);
-                    const float z = bitsToF(E[l]);
-                    D[l] = fToBits(left ? t - z : z - t);
-                }
-                break;
-              }
-              case MOp::LdShFMul:
-              case MOp::LdShFSub:
-              case MOp::LdShFDiv: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                const bool left = in.aux & 1;
-                shCheck(B, "load");
-                for (uint32_t l = 0; l < W; ++l) {
-                    const uint32_t v = sh[B[l]];
-                    A[l] = v;
-                    const float fv = bitsToF(v);
-                    const float z = bitsToF(E[l]);
-                    float res;
-                    if (in.op == MOp::LdShFMul)
-                        res = left ? fv * z : z * fv;
-                    else if (in.op == MOp::LdShFSub)
-                        res = left ? fv - z : z - fv;
-                    else
-                        res = left ? fv / z : z / fv;
-                    D[l] = fToBits(res);
-                }
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::FSubStSh:
-              case MOp::FDivStSh: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                const uint32_t *const D = BV(in.d);
-                for (uint32_t l = 0; l < W; ++l) {
-                    const float x = bitsToF(B[l]);
-                    const float y = bitsToF(C[l]);
-                    A[l] =
-                        fToBits(in.op == MOp::FSubStSh ? x - y : x / y);
-                }
-                shCheck(D, "store");
-                for (uint32_t l = 0; l < W; ++l)
-                    sh[D[l]] = A[l];
-                ws.sharedAccesses += W;
-                break;
-              }
-              case MOp::IDivRem: {
-                uint32_t *const A = BV(in.a);
-                const uint32_t *const B = BV(in.b);
-                const uint32_t *const C = BV(in.c);
-                uint32_t *const D = BV(in.d);
-                for (uint32_t l = 0; l < W; ++l) {
-                    const int32_t den = bitsToS(C[l]);
-                    if (den == 0)
-                        panic("kernel '%s' @%u: integer division by "
-                              "zero",
-                              k.module.name.c_str(), pc);
-                    const int32_t num = bitsToS(B[l]);
-                    A[l] = static_cast<uint32_t>(num / den);
-                    D[l] = static_cast<uint32_t>(num % den);
-                }
-                break;
-              }
-
-              case MOp::Super:
-                execSuper(mk.supers[in.aux], pc, base, base + W, ws);
-                break;
-              case MOp::SuperLoop: {
-                // Fused counted loop: all lanes run to completion and
-                // reconverge at the exit pc (execSuper charges the
-                // per-iteration cycles).
-                const SuperOp &sup = mk.supers[in.aux];
-                execSuper(sup, pc, base, base + W, ws);
-                pc = sup.exitPc;
-                ws.laneCycles +=
-                    static_cast<uint64_t>(cost_from[pc]) * W;
-                continue;
-              }
-
-              case MOp::Jmp:
-                pc = in.a;
-                ws.laneCycles +=
-                    static_cast<uint64_t>(cost_from[pc]) * W;
-                continue;
-              case MOp::BrTrue:
-              case MOp::BrFalse: {
-                const uint32_t *const A = BV(in.a);
-                const uint32_t sense = in.op == MOp::BrTrue ? 1 : 0;
-                uint32_t taken = 0;
-                for (uint32_t l = 0; l < W; ++l)
-                    taken += (A[l] != 0) == (sense != 0);
-                if (taken == 0 || taken == W) {
-                    pc = taken ? in.b : pc + 1;
-                    ws.laneCycles +=
-                        static_cast<uint64_t>(cost_from[pc]) * W;
-                    continue;
-                }
-                for (uint32_t l = 0; l < W; ++l)
-                    pcs[base + l] =
-                        (A[l] != 0) == (sense != 0) ? in.b : pc + 1;
-                runLanes(base, base + W, wx, wy, wz, ws, done,
-                         at_barrier);
-                goto block_done;
-              }
-
-              BCMPBR(CmpBrIEq, x == y)
-              BCMPBR(CmpBrINe, x != y)
-              BCMPBR(CmpBrILt, bitsToS(x) < bitsToS(y))
-              BCMPBR(CmpBrILe, bitsToS(x) <= bitsToS(y))
-              BCMPBR(CmpBrIGt, bitsToS(x) > bitsToS(y))
-              BCMPBR(CmpBrIGe, bitsToS(x) >= bitsToS(y))
-              BCMPBR(CmpBrULt, x < y)
-              BCMPBR(CmpBrUGe, x >= y)
-              BCMPBR(CmpBrFEq, bitsToF(x) == bitsToF(y))
-              BCMPBR(CmpBrFNe, bitsToF(x) != bitsToF(y))
-              BCMPBR(CmpBrFLt, bitsToF(x) < bitsToF(y))
-              BCMPBR(CmpBrFLe, bitsToF(x) <= bitsToF(y))
-              BCMPBR(CmpBrFGt, bitsToF(x) > bitsToF(y))
-              BCMPBR(CmpBrFGe, bitsToF(x) >= bitsToF(y))
-
-              case MOp::ConstAlu: {
-                uint32_t *const A = BV(in.a);
-                uint32_t *const C2 = BV(in.c);
-                const uint32_t *const D = BV(in.d);
-                const uint32_t *const E = BV(in.e);
-                const BinKind kind = static_cast<BinKind>(in.aux);
-                std::fill_n(A, W, in.b);
-                for (uint32_t l = 0; l < W; ++l)
-                    C2[l] = evalBin(kind, D[l], E[l]);
-                break;
-              }
-
-              case MOp::Barrier:
-                for (uint32_t l = 0; l < W; ++l)
-                    pcs[base + l] = pc + 1;
-                at_barrier += W;
-                goto block_done;
-              case MOp::Ret:
-                done += W;
-                goto block_done;
-
-              default:
-                // Atomics: lane order is observable, so un-charge the
-                // current straight-line run and hand only THIS block's
-                // lanes to the lane-major executor from this pc.
-                // Later blocks keep running lockstep; the sequential
-                // block order keeps the global atomic order identical
-                // to lane-major.
-                ws.laneCycles -=
-                    static_cast<uint64_t>(cost_from[pc]) * W;
-                for (uint32_t l = 0; l < W; ++l)
-                    pcs[base + l] = pc;
-                runLanes(base, base + W, wx, wy, wz, ws, done,
-                         at_barrier);
-                goto block_done;
-            }
-            ++pc;
-        }
-    block_done:;
-    }
-
-    // Tail lanes (localCount % W) always run lane-major from their
-    // saved pcs, after every full block — the same position they hold
-    // in lane-major order.
-    if (full < lc) {
-        runLanes(full, static_cast<uint32_t>(lc), wx, wy, wz, ws, done,
-                 at_barrier);
-    }
-    done_out += done;
-    barrier_out += at_barrier;
-}
-
-#undef BV
-#undef BBIN
-#undef BUN
-#undef BCMPBR
-
-/** Lane vector of register x (contiguous, reg-major file). */
-#define V(x) (regs0 + static_cast<size_t>(x) * lc)
-/** Element-wise binary op handler for the whole-workgroup op-major
- *  executor.  A may alias B/C only exactly (vector offsets are
- *  multiples of lc), which keeps the per-lane semantics of the
- *  lane-major path. */
+/** Lane vector of register x: the span's n contiguous lanes (rb points
+ *  at the span's first-lane column of the reg-major file). */
+#define V(x) (rb + static_cast<size_t>(x) * lc)
+/** Element-wise binary op over the span.  A may alias B/C only exactly
+ *  (vector offsets are multiples of lc), which keeps the per-lane
+ *  semantics of the lane-major path. */
 #define VBIN(name, expr)                                                  \
     case MOp::name: {                                                     \
         uint32_t *const A = V(in.a);                                      \
         const uint32_t *const B = V(in.b);                                \
         const uint32_t *const C = V(in.c);                                \
-        for (size_t l = 0; l < lc; ++l)                                   \
+        for (size_t l = 0; l < n; ++l)                                    \
             A[l] = (expr);                                                \
         break;                                                            \
     }
@@ -1905,16 +1171,14 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
     case MOp::name: {                                                     \
         uint32_t *const A = V(in.a);                                      \
         const uint32_t *const B = V(in.b);                                \
-        for (size_t l = 0; l < lc; ++l)                                   \
+        for (size_t l = 0; l < n; ++l)                                    \
             A[l] = (expr);                                                \
         break;                                                            \
     }
 /** Fused compare+branch: flags written per lane, then the uniform /
- *  divergent decision.  Divergence writes every lane's resume pc and
- *  hands the rest of the phase to the lane-block continuation, which
- *  contains the split at W-lane granularity.  The trace tier is only
- *  selected for branch-free kernels, so there the whole handler
- *  compiles down to a guard. */
+ *  divergent decision.  Divergence writes every span lane's resume pc
+ *  and splits.  The trace tier is only selected for branch-free
+ *  kernels, so there the whole handler compiles down to a guard. */
 #define VCMPBR(mop, expr)                                                 \
     case MOp::mop: {                                                      \
         if constexpr (TraceTier) {                                        \
@@ -1926,38 +1190,41 @@ Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
             const uint32_t *const C = V(in.c);                            \
             uint32_t taken = 0;                                           \
             const uint32_t sense = in.aux;                                \
-            for (size_t l = 0; l < lc; ++l) {                             \
+            for (size_t l = 0; l < n; ++l) {                              \
                 const uint32_t x = B[l];                                  \
                 const uint32_t y = C[l];                                  \
                 const uint32_t cond = (expr);                             \
                 A[l] = cond;                                              \
                 taken += cond == sense;                                   \
             }                                                             \
-            if (taken == lc || taken == 0) {                              \
+            if (taken == n || taken == 0) {                               \
                 pc = taken ? in.d : pc + 1;                               \
                 ws.laneCycles +=                                          \
-                    static_cast<uint64_t>(cost_from[pc]) * lc;            \
+                    static_cast<uint64_t>(cost_from[pc]) * n;             \
                 continue;                                                 \
             }                                                             \
-            for (size_t l = 0; l < lc; ++l)                               \
-                pcs[l] = A[l] == sense ? in.d : pc + 1;                   \
-            runPhaseBlocks<W>(wx, wy, wz, ws, done_out, barrier_out);     \
-            return;                                                       \
+            for (size_t l = 0; l < n; ++l)                                \
+                span_pcs[l] = A[l] == sense ? in.d : pc + 1;              \
+            return SpanEnd::Split;                                        \
         }                                                                 \
     }
 
-template <uint32_t W, bool TraceTier>
-void
-Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
-                        uint32_t wz, WorkgroupStats &ws,
-                        uint32_t &done_out, uint32_t &barrier_out)
+template <uint32_t N, bool TraceTier>
+Interpreter::SpanEnd
+Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
+                     uint32_t wy, uint32_t wz, WorkgroupStats &ws)
 {
+    constexpr uint32_t W = kBlockW;
     const CompiledKernel &k = *kernel;
     const MicroKernel &mk = *k.micro;
     const MicroOp *const ops = mk.ops.data();
     const uint32_t *const cost_from = mk.costFrom.data();
     const size_t lc = localCount;
-    uint32_t *const regs0 = regs.data();
+    // Lanes in the span: a compile-time trip count for a lane block.
+    const size_t n = N ? N : lc;
+    uint32_t *const rb = regs.data() + base;
+    uint32_t *const span_pcs = pcs.data() + base;
+    const LaneId *const lid = lids.data() + base;
     const BufferBinding *const bufs = ctx->buffers.data();
     uint64_t *const site_exec = ws.siteExec.data();
     uint32_t *const sh = shared.data();
@@ -1969,7 +1236,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
     uint32_t pc = start_pc;
     // Charge the whole straight-line run for every lane up front, as
     // the lane-major executor does per lane at entry.
-    ws.laneCycles += static_cast<uint64_t>(cost_from[pc]) * lc;
+    ws.laneCycles += static_cast<uint64_t>(cost_from[pc]) * n;
 
     auto oob = [&](uint32_t binding, uint64_t addr,
                    uint64_t words) -> void {
@@ -1985,18 +1252,20 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
               (unsigned long long)shared_words);
     };
 
-    // W-blocked global-memory fast paths.  A block whose addresses are
-    // contiguous takes one bounds test and one memcpy (word-aligned
-    // word copies cannot tear, and the data-race-free contract every
-    // programming model requires makes the non-atomic copy
-    // unobservable); a block loading one uniform address takes a
-    // single load.  Anything else falls back to the per-lane guarded
-    // loop, which also reproduces the lane-major executor's
-    // first-offending-lane panic on out-of-bounds access.
+    // W-chunk global-memory fast paths (a lane block is exactly one
+    // chunk).  A chunk whose addresses are contiguous takes one bounds
+    // test and one memcpy (word-aligned word copies cannot tear, and
+    // the data-race-free contract every programming model requires
+    // makes the non-atomic copy unobservable); a chunk loading one
+    // uniform address takes a single load.  Anything else, and the
+    // tail lanes, take the per-lane guarded loop, which also
+    // reproduces the lane-major executor's first-offending-lane panic
+    // on out-of-bounds access.
     auto loadVec = [&](uint32_t *A, const uint32_t *ADDR,
-                       const BufferBinding &buf, uint32_t binding) {
+                       uint32_t binding) {
+        const BufferBinding &buf = bufs[binding];
         size_t l = 0;
-        for (; l + W <= lc; l += W) {
+        for (; l + W <= n; l += W) {
             const uint32_t a0 = ADDR[l];
             bool contig = true;
             bool unif = true;
@@ -2023,7 +1292,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                 }
             }
         }
-        for (; l < lc; ++l) {
+        for (; l < n; ++l) {
             const uint32_t addr = ADDR[l];
             if (addr >= buf.words) [[unlikely]]
                 oob(binding, addr, buf.words);
@@ -2032,9 +1301,10 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
         }
     };
     auto storeVec = [&](const uint32_t *S, const uint32_t *ADDR,
-                        const BufferBinding &buf, uint32_t binding) {
+                        uint32_t binding) {
+        const BufferBinding &buf = bufs[binding];
         size_t l = 0;
-        for (; l + W <= lc; l += W) {
+        for (; l + W <= n; l += W) {
             const uint32_t a0 = ADDR[l];
             bool contig = true;
             bool unif = true;
@@ -2059,7 +1329,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                 }
             }
         }
-        for (; l < lc; ++l) {
+        for (; l < n; ++l) {
             const uint32_t addr = ADDR[l];
             if (addr >= buf.words) [[unlikely]]
                 oob(binding, addr, buf.words);
@@ -2072,77 +1342,75 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
         const MicroOp &in = ops[pc];
         switch (in.op) {
           case MOp::Const:
-            std::fill_n(V(in.a), lc, in.b);
+            std::fill_n(V(in.a), n, in.b);
             break;
           case MOp::Mov:
-            std::copy_n(V(in.b), lc, V(in.a));
+            std::copy_n(V(in.b), n, V(in.a));
             break;
           case MOp::LdBuiltin: {
             using spirv::Builtin;
             uint32_t *const A = V(in.a);
-            const LaneId *const lid = lids.data();
             switch (static_cast<Builtin>(in.aux)) {
               case Builtin::GlobalIdX:
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     A[l] = wx * lx + lid[l].x;
                 break;
               case Builtin::GlobalIdY:
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     A[l] = wy * ly + lid[l].y;
                 break;
               case Builtin::GlobalIdZ:
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     A[l] = wz * k.module.localSize[2] + lid[l].z;
                 break;
               case Builtin::LocalIdX:
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     A[l] = lid[l].x;
                 break;
               case Builtin::LocalIdY:
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     A[l] = lid[l].y;
                 break;
               case Builtin::LocalIdZ:
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     A[l] = lid[l].z;
                 break;
               case Builtin::LocalLinearId:
-                for (size_t l = 0; l < lc; ++l)
-                    A[l] = static_cast<uint32_t>(l);
+                for (size_t l = 0; l < n; ++l)
+                    A[l] = static_cast<uint32_t>(base + l);
                 break;
-              case Builtin::GroupIdX: std::fill_n(A, lc, wx); break;
-              case Builtin::GroupIdY: std::fill_n(A, lc, wy); break;
-              case Builtin::GroupIdZ: std::fill_n(A, lc, wz); break;
+              case Builtin::GroupIdX: std::fill_n(A, n, wx); break;
+              case Builtin::GroupIdY: std::fill_n(A, n, wy); break;
+              case Builtin::GroupIdZ: std::fill_n(A, n, wz); break;
               case Builtin::NumGroupsX:
-                std::fill_n(A, lc, ctx->groups[0]);
+                std::fill_n(A, n, ctx->groups[0]);
                 break;
               case Builtin::NumGroupsY:
-                std::fill_n(A, lc, ctx->groups[1]);
+                std::fill_n(A, n, ctx->groups[1]);
                 break;
               case Builtin::NumGroupsZ:
-                std::fill_n(A, lc, ctx->groups[2]);
+                std::fill_n(A, n, ctx->groups[2]);
                 break;
-              case Builtin::LocalSizeX: std::fill_n(A, lc, lx); break;
-              case Builtin::LocalSizeY: std::fill_n(A, lc, ly); break;
+              case Builtin::LocalSizeX: std::fill_n(A, n, lx); break;
+              case Builtin::LocalSizeY: std::fill_n(A, n, ly); break;
               case Builtin::LocalSizeZ:
-                std::fill_n(A, lc, k.module.localSize[2]);
+                std::fill_n(A, n, k.module.localSize[2]);
                 break;
               case Builtin::GlobalSizeX:
-                std::fill_n(A, lc, ctx->groups[0] * lx);
+                std::fill_n(A, n, ctx->groups[0] * lx);
                 break;
               case Builtin::GlobalSizeY:
-                std::fill_n(A, lc, ctx->groups[1] * ly);
+                std::fill_n(A, n, ctx->groups[1] * ly);
                 break;
               case Builtin::GlobalSizeZ:
-                std::fill_n(A, lc,
-                            ctx->groups[2] * k.module.localSize[2]);
+                std::fill_n(A, n, ctx->groups[2] * k.module.localSize[2]);
                 break;
-              case Builtin::Count: std::fill_n(A, lc, 0u); break;
+              case Builtin::Count: std::fill_n(A, n, 0u); break;
             }
             break;
           }
           case MOp::LdPush:
-            std::fill_n(V(in.a), lc, ctx->push[in.b]);
+            std::fill_n(V(in.a), n, ctx->push[in.b]);
             break;
 
           VBIN(IAdd, B[l] + C[l])
@@ -2152,12 +1420,11 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const A = V(in.a);
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 if (C[l] == 0)
                     panic("kernel '%s' @%u: integer division by zero",
                           k.module.name.c_str(), pc);
-                A[l] = static_cast<uint32_t>(bitsToS(B[l]) /
-                                             bitsToS(C[l]));
+                A[l] = sdivWrap(B[l], C[l]);
             }
             break;
           }
@@ -2165,12 +1432,11 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const A = V(in.a);
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 if (C[l] == 0)
                     panic("kernel '%s' @%u: integer remainder by zero",
                           k.module.name.c_str(), pc);
-                A[l] = static_cast<uint32_t>(bitsToS(B[l]) %
-                                             bitsToS(C[l]));
+                A[l] = sremWrap(B[l], C[l]);
             }
             break;
           }
@@ -2182,7 +1448,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
           VBIN(IOr, B[l] | C[l])
           VBIN(IXor, B[l] ^ C[l])
           VUN(INot, ~B[l])
-          VUN(INeg, static_cast<uint32_t>(-bitsToS(B[l])))
+          VUN(INeg, 0u - B[l])
           VBIN(IShl, B[l] << (C[l] & 31))
           VBIN(IShrU, B[l] >> (C[l] & 31))
           VBIN(IShrS,
@@ -2207,7 +1473,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
             const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < lc; ++l)
+            for (size_t l = 0; l < n; ++l)
                 A[l] = fToBits(std::fma(bitsToF(B[l]), bitsToF(C[l]),
                                         bitsToF(D[l])));
             break;
@@ -2236,7 +1502,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
             const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < lc; ++l)
+            for (size_t l = 0; l < n; ++l)
                 A[l] = B[l] ? C[l] : D[l];
             break;
           }
@@ -2245,40 +1511,40 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
           // before the op runs (a load may overwrite them).
           case MOp::LdBuf:
             if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.d,
+                smp->recordLanes(base, static_cast<uint32_t>(n), in.d,
                                  V(in.c));
-            loadVec(V(in.a), V(in.c), bufs[in.b], in.b);
-            site_exec[in.d] += lc;
+            loadVec(V(in.a), V(in.c), in.b);
+            site_exec[in.d] += n;
             break;
           case MOp::StBuf:
             if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.d,
+                smp->recordLanes(base, static_cast<uint32_t>(n), in.d,
                                  V(in.b));
-            storeVec(V(in.c), V(in.b), bufs[in.a], in.a);
-            site_exec[in.d] += lc;
+            storeVec(V(in.c), V(in.b), in.a);
+            site_exec[in.d] += n;
             break;
           case MOp::LdShared: {
             uint32_t *const A = V(in.a);
             const uint32_t *const ADDR = V(in.b);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t addr = ADDR[l];
                 if (addr >= shared_words) [[unlikely]]
                     shOob("load", addr);
                 A[l] = sh[addr];
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::StShared: {
             const uint32_t *const ADDR = V(in.a);
             const uint32_t *const S = V(in.b);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t addr = ADDR[l];
                 if (addr >= shared_words) [[unlikely]]
                     shOob("store", addr);
                 sh[addr] = S[l];
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
 
@@ -2286,24 +1552,24 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const A = V(in.a);
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
-            for (size_t l = 0; l < lc; ++l)
+            for (size_t l = 0; l < n; ++l)
                 A[l] = B[l] + C[l];
             if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.e, A);
-            loadVec(V(in.d), A, bufs[in.aux], in.aux);
-            site_exec[in.e] += lc;
+                smp->recordLanes(base, static_cast<uint32_t>(n), in.e, A);
+            loadVec(V(in.d), A, in.aux);
+            site_exec[in.e] += n;
             break;
           }
           case MOp::IAddSt: {
             uint32_t *const A = V(in.a);
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
-            for (size_t l = 0; l < lc; ++l)
+            for (size_t l = 0; l < n; ++l)
                 A[l] = B[l] + C[l];
             if (smp)
-                smp->recordLanes(0, static_cast<uint32_t>(lc), in.e, A);
-            storeVec(V(in.d), A, bufs[in.aux], in.aux);
-            site_exec[in.e] += lc;
+                smp->recordLanes(base, static_cast<uint32_t>(n), in.e, A);
+            storeVec(V(in.d), A, in.aux);
+            site_exec[in.e] += n;
             break;
           }
           case MOp::IMulAdd: {
@@ -2312,7 +1578,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const C = V(in.c);
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t t = B[l] * C[l];
                 A[l] = t;
                 D[l] = t + E[l];
@@ -2325,7 +1591,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const C = V(in.c);
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t t = B[l] + C[l];
                 A[l] = t;
                 D[l] = t + E[l];
@@ -2337,14 +1603,14 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
             uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t addr = B[l] + C[l];
                 A[l] = addr;
                 if (addr >= shared_words) [[unlikely]]
                     shOob("load", addr);
                 D[l] = sh[addr];
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::IAddStSh: {
@@ -2352,14 +1618,14 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
             const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t addr = B[l] + C[l];
                 A[l] = addr;
                 if (addr >= shared_words) [[unlikely]]
                     shOob("store", addr);
                 sh[addr] = D[l];
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::MulAddLdSh: {
@@ -2369,7 +1635,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
             uint32_t *const X = V(in.aux);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t t = B[l] * C[l];
                 A[l] = t;
                 const uint32_t addr = t + E[l];
@@ -2378,7 +1644,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                     shOob("load", addr);
                 X[l] = sh[addr];
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::MulAddStSh: {
@@ -2388,7 +1654,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
             const uint32_t *const X = V(in.aux);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t t = B[l] * C[l];
                 A[l] = t;
                 const uint32_t addr = t + E[l];
@@ -2397,7 +1663,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                     shOob("store", addr);
                 sh[addr] = X[l];
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::FMulFAdd: {
@@ -2407,7 +1673,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
             const bool left = in.aux & 1;
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const float t = bitsToF(B[l]) * bitsToF(C[l]);
                 A[l] = fToBits(t);
                 const float z = bitsToF(E[l]);
@@ -2422,7 +1688,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
             const bool left = in.aux & 1;
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const float t = bitsToF(B[l]) * bitsToF(C[l]);
                 A[l] = fToBits(t);
                 const float z = bitsToF(E[l]);
@@ -2438,7 +1704,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
             const bool left = in.aux & 1;
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const uint32_t addr = B[l];
                 if (addr >= shared_words) [[unlikely]]
                     shOob("load", addr);
@@ -2455,7 +1721,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                     res = left ? fv / z : z / fv;
                 D[l] = fToBits(res);
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::FSubStSh:
@@ -2464,7 +1730,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
             const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < lc; ++l) {
+            for (size_t l = 0; l < n; ++l) {
                 const float x = bitsToF(B[l]);
                 const float y = bitsToF(C[l]);
                 const uint32_t t =
@@ -2475,7 +1741,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                     shOob("store", addr);
                 sh[addr] = t;
             }
-            ws.sharedAccesses += lc;
+            ws.sharedAccesses += n;
             break;
           }
           case MOp::IDivRem: {
@@ -2483,33 +1749,32 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const B = V(in.b);
             const uint32_t *const C = V(in.c);
             uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < lc; ++l) {
-                const int32_t den = bitsToS(C[l]);
+            for (size_t l = 0; l < n; ++l) {
+                const uint32_t num = B[l];
+                const uint32_t den = C[l];
                 if (den == 0)
                     panic("kernel '%s' @%u: integer division by zero",
                           k.module.name.c_str(), pc);
-                const int32_t num = bitsToS(B[l]);
-                A[l] = static_cast<uint32_t>(num / den);
-                D[l] = static_cast<uint32_t>(num % den);
+                A[l] = sdivWrap(num, den);
+                D[l] = sremWrap(num, den);
             }
             break;
           }
 
           case MOp::Super:
-            // Whole-workgroup fused run; one dispatch covers what
-            // used to be six per-op passes over the lane vectors.
-            execSuper(mk.supers[in.aux], pc, 0,
-                      static_cast<uint32_t>(lc), ws);
+            // One fused run over the span's lanes instead of six
+            // per-op passes over the lane vectors.
+            execSuper(mk.supers[in.aux], pc, base,
+                      base + static_cast<uint32_t>(n), ws);
             break;
           case MOp::SuperLoop: {
-            // Fused counted loop: one dispatch covers the whole loop
-            // nest level — per-lane trip counts never surface as
-            // divergence because every lane reconverges at the exit
+            // Fused counted loop: per-lane trip counts never surface
+            // as divergence because every lane reconverges at the exit
             // pc (execSuper charges the per-iteration cycles).
             const SuperOp &sup = mk.supers[in.aux];
-            execSuper(sup, pc, 0, static_cast<uint32_t>(lc), ws);
+            execSuper(sup, pc, base, base + static_cast<uint32_t>(n), ws);
             pc = sup.exitPc;
-            ws.laneCycles += static_cast<uint64_t>(cost_from[pc]) * lc;
+            ws.laneCycles += static_cast<uint64_t>(cost_from[pc]) * n;
             continue;
           }
 
@@ -2519,8 +1784,7 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                       k.module.name.c_str(), pc);
             } else {
                 pc = in.a;
-                ws.laneCycles +=
-                    static_cast<uint64_t>(cost_from[pc]) * lc;
+                ws.laneCycles += static_cast<uint64_t>(cost_from[pc]) * n;
                 continue;
             }
           case MOp::BrTrue:
@@ -2532,18 +1796,18 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
                 const uint32_t *const A = V(in.a);
                 const uint32_t sense = in.op == MOp::BrTrue ? 1 : 0;
                 uint32_t taken = 0;
-                for (size_t l = 0; l < lc; ++l)
+                for (size_t l = 0; l < n; ++l)
                     taken += (A[l] != 0) == (sense != 0);
-                if (taken == lc || taken == 0) {
+                if (taken == n || taken == 0) {
                     pc = taken ? in.b : pc + 1;
                     ws.laneCycles +=
-                        static_cast<uint64_t>(cost_from[pc]) * lc;
+                        static_cast<uint64_t>(cost_from[pc]) * n;
                     continue;
                 }
-                for (size_t l = 0; l < lc; ++l)
-                    pcs[l] = (A[l] != 0) == (sense != 0) ? in.b : pc + 1;
-                runPhaseBlocks<W>(wx, wy, wz, ws, done_out, barrier_out);
-                return;
+                for (size_t l = 0; l < n; ++l)
+                    span_pcs[l] =
+                        (A[l] != 0) == (sense != 0) ? in.b : pc + 1;
+                return SpanEnd::Split;
             }
           }
 
@@ -2568,36 +1832,30 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
             const uint32_t *const D = V(in.d);
             const uint32_t *const E = V(in.e);
             const BinKind kind = static_cast<BinKind>(in.aux);
-            std::fill_n(A, lc, in.b);
-            for (size_t l = 0; l < lc; ++l)
+            std::fill_n(A, n, in.b);
+            for (size_t l = 0; l < n; ++l)
                 C2[l] = evalBin(kind, D[l], E[l]);
             break;
           }
 
           case MOp::Barrier:
-            std::fill(pcs.begin(), pcs.end(), pc + 1);
-            barrier_out += static_cast<uint32_t>(lc);
-            return;
+            std::fill_n(span_pcs, n, pc + 1);
+            return SpanEnd::Barrier;
           case MOp::Ret:
-            done_out += static_cast<uint32_t>(lc);
-            return;
+            return SpanEnd::Done;
 
           default:
             if constexpr (TraceTier) {
                 panic("kernel '%s' @%u: op %s reached the trace tier",
                       k.module.name.c_str(), pc, mopName(in.op));
             } else {
-                // Atomics: every lane is at this pc, so lane order is
-                // fully observable — un-charge the straight-line run
-                // and hand the rest of the phase to the lane-major
-                // executor, which re-charges from this pc and defines
-                // the atomic order.
-                ws.laneCycles -=
-                    static_cast<uint64_t>(cost_from[pc]) * lc;
-                std::fill(pcs.begin(), pcs.end(), pc);
-                runLanes(0, static_cast<uint32_t>(lc), wx, wy, wz, ws,
-                         done_out, barrier_out);
-                return;
+                // Atomics: lane order is observable, so un-charge the
+                // current straight-line run and split the span before
+                // the op; the lane-major executor re-charges from this
+                // pc and defines the atomic order.
+                ws.laneCycles -= static_cast<uint64_t>(cost_from[pc]) * n;
+                std::fill_n(span_pcs, n, pc);
+                return SpanEnd::Split;
             }
         }
         ++pc;
@@ -2608,5 +1866,42 @@ Interpreter::runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
 #undef VBIN
 #undef VUN
 #undef VCMPBR
+
+void
+Interpreter::runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
+                            WorkgroupStats &ws, uint32_t &done_out,
+                            uint32_t &barrier_out)
+{
+    // Each full block of W lanes runs the REST of the phase before the
+    // next block starts.  Sequential block order preserves the
+    // lane-major executor's global atomic order exactly: a span that
+    // reaches an observable-order op (atomic) splits BEFORE executing
+    // it, and everything it ran lockstep up to that point is
+    // order-unobservable under the data-race-free contract.  A block
+    // whose lanes disagree on their pc, or whose span splits, runs
+    // lane-major as a block (containing the divergence).
+    const uint32_t full = localCount - localCount % kBlockW;
+    for (uint32_t base = 0; base < full; base += kBlockW) {
+        const uint32_t pc = pcs[base];
+        bool agree = true;
+        for (uint32_t l = 1; l < kBlockW; ++l)
+            agree &= pcs[base + l] == pc;
+        const SpanEnd end =
+            agree ? runSpan<kBlockW, false>(base, pc, wx, wy, wz, ws)
+                  : SpanEnd::Split;
+        if (end == SpanEnd::Done)
+            done_out += kBlockW;
+        else if (end == SpanEnd::Barrier)
+            barrier_out += kBlockW;
+        else
+            runLanes(base, base + kBlockW, wx, wy, wz, ws, done_out,
+                     barrier_out);
+    }
+    // Tail lanes (localCount % W) always run lane-major from their
+    // saved pcs, after every full block — the same position they hold
+    // in lane-major order.
+    if (full < localCount)
+        runLanes(full, localCount, wx, wy, wz, ws, done_out, barrier_out);
+}
 
 } // namespace vcb::sim

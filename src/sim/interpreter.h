@@ -12,18 +12,21 @@
  * simulator traps it.
  *
  * Four executor tiers share the phase loop (see ExecTier in
- * dispatch.h): the trace and block tiers run lanes in fixed-width
- * blocks of W over the reg-major register file — per-op loops with a
- * compile-time trip count so the compiler emits real SIMD, contiguous
- * and uniform memory fast paths, and per-block divergence containment
- * (a divergent branch or atomic bails only the affected W lanes to the
- * lane-major executor).  The lane-major tier is the order-defining
- * reference; the instrumented tier adds sampler recording and
- * out-of-bounds clamping.  A sampled workgroup stays on the trace or
- * block tier, which then records each memory op's lane vector and
- * bails to the instrumented executor where it would bail to
- * lane-major.  All tiers produce bit-identical buffers, statistics,
- * coalescing samples and simulated timing.
+ * dispatch.h).  The trace and block tiers run op-major over the
+ * reg-major register file through one executor, runSpan: a phase whose
+ * lanes all start at one pc runs as one whole-workgroup span, each
+ * micro-op over every lane before the next, with contiguous and
+ * uniform memory fast paths.  A divergent branch or an atomic splits
+ * that span, and the rest of the phase runs as spans over blocks of W
+ * lanes (a compile-time trip count, so the compiler emits real SIMD):
+ * a block that diverges again, reaches an atomic or holds mixed pcs
+ * falls to the lane-major executor, and only its W lanes do.  The
+ * lane-major tier is the order-defining reference; the instrumented
+ * tier adds sampler recording and out-of-bounds clamping.  A sampled
+ * workgroup stays on the trace or block tier, which then records each
+ * memory op's lane vector and bails to the instrumented executor where
+ * it would bail to lane-major.  All tiers produce bit-identical
+ * buffers, statistics, coalescing samples and simulated timing.
  *
  * Global-memory words are accessed through relaxed std::atomic_ref so
  * that independent workgroups can be interpreted on different host
@@ -91,6 +94,14 @@ class Interpreter
      *  measured no faster on the full mix. */
     static constexpr uint32_t kBlockW = 8;
 
+    /** How an op-major span ended (see runSpan). */
+    enum class SpanEnd : uint8_t
+    {
+        Done,    ///< every lane of the span returned
+        Barrier, ///< every lane stopped at one barrier; pcs written
+        Split,   ///< the span's lanes continue from their written pcs
+    };
+
     /**
      * Execute one barrier phase lane-by-lane for lanes in
      * [lane_begin, lane_end): every lane runs from pcs[lane] until Ret
@@ -104,7 +115,7 @@ class Interpreter
                   CoalesceSampler *sampler, uint32_t &done_out,
                   uint32_t &barrier_out);
 
-    /** The blocked executors' lane-major fallback for lanes
+    /** The op-major executor's lane-major fallback for lanes
      *  [lane_begin, lane_end): runPhase, instrumented while `sampling`
      *  is set. */
     void runLanes(uint32_t lane_begin, uint32_t lane_end, uint32_t wx,
@@ -112,37 +123,34 @@ class Interpreter
                   uint32_t &done_out, uint32_t &barrier_out);
 
     /**
-     * Execute one phase op-major over the whole workgroup: every lane
-     * is at start_pc and each micro-op runs across all lanes before
-     * the next, amortizing dispatch over the workgroup and letting the
-     * reg-major lane vectors vectorize.  Memory ops take per-W-block
-     * fast paths: contiguous addresses become a single bounds test
-     * plus memcpy, uniform addresses one load broadcast.  On a
-     * divergent branch the per-lane pcs are written and the rest of
-     * the phase continues in runPhaseBlocks (divergence containment at
-     * W-lane granularity); ops whose lane order is observable
-     * (atomics) bail the same way and serialize block by block.
-     * TraceTier compiles the branch/atomic machinery out entirely for
-     * straight-line kernels: the whole dispatch body is one fused
-     * op-major loop.
+     * Execute one phase op-major over lanes [base, base + n), all at
+     * start_pc: each micro-op runs across the span before the next,
+     * amortizing dispatch and letting the reg-major lane vectors
+     * vectorize.  N = 0 spans the whole workgroup (base 0, n =
+     * localCount); N = kBlockW is one lane block with a compile-time
+     * trip count.  Global memory ops take W-chunk fast paths:
+     * contiguous addresses become one bounds test plus memcpy, uniform
+     * addresses one load broadcast.  Returns Done or Barrier when
+     * every lane of the span got there; Split when a branch diverged
+     * (each lane's resume pc is written) or an atomic was reached
+     * (its pc is written and the straight-line run un-charged, since
+     * lane order is observable there) — the caller continues the
+     * span's lanes.  TraceTier compiles the branch/atomic machinery
+     * out entirely for straight-line kernels.
      */
-    template <uint32_t W, bool TraceTier>
-    void runPhaseWg(uint32_t start_pc, uint32_t wx, uint32_t wy,
-                    uint32_t wz, WorkgroupStats &ws, uint32_t &done_out,
-                    uint32_t &barrier_out);
+    template <uint32_t N, bool TraceTier>
+    SpanEnd runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
+                    uint32_t wy, uint32_t wz, WorkgroupStats &ws);
 
     /**
-     * Phase continuation over fixed-width lane blocks, resuming from
-     * the per-lane pcs: each block of W lanes whose pcs agree runs the
-     * rest of the phase in lockstep (compile-time trip count W over
-     * contiguous lane vectors — real SIMD); blocks with mixed pcs, and
-     * blocks that diverge again or reach an atomic, fall to the
-     * lane-major executor AT BLOCK GRANULARITY ONLY.  Running block b
-     * to phase end before block b+1 starts preserves the lane-major
-     * executor's global atomic order exactly.  Tail lanes (localCount
-     * % W) always run lane-major.
+     * Phase continuation over lane blocks of W, resuming from the
+     * per-lane pcs: each block whose pcs agree runs the rest of the
+     * phase as a W-lane span; blocks with mixed pcs, and spans that
+     * split, fall to the lane-major executor AT BLOCK GRANULARITY
+     * ONLY.  Running block b to phase end before block b+1 starts
+     * preserves the lane-major executor's global atomic order exactly.
+     * Tail lanes (localCount % W) always run lane-major.
      */
-    template <uint32_t W>
     void runPhaseBlocks(uint32_t wx, uint32_t wy, uint32_t wz,
                         WorkgroupStats &ws, uint32_t &done_out,
                         uint32_t &barrier_out);
@@ -151,8 +159,8 @@ class Interpreter
      * Execute one superop (see SuperKind in microop.h) over lanes
      * [lane_begin, lane_end) as a fused per-lane loop: the run's
      * intermediates stay in host registers instead of round-tripping
-     * through the lane register file.  Used by the trace/block
-     * executors, recording a sampled workgroup's loads into
+     * through the lane register file.  Used by the op-major
+     * executor, recording a sampled workgroup's loads into
      * `sampling`; the lane-major executors run the scalar per-lane
      * case inline (which also handles sampling and robust clamping).
      */

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/logging.h"
@@ -1251,11 +1250,10 @@ execTierName(ExecTier t)
 }
 
 namespace {
-/** Cached VCB_EXECUTOR: Count+1 = not read yet, Count = auto. */
-std::atomic<uint8_t> g_forced_tier{static_cast<uint8_t>(ExecTier::Count) +
-                                   1};
-/** Cached VCB_SUPEROPS state: -1 = not read yet, else 0/1. */
-std::atomic<int> g_superops{-1};
+/** Forced tier (setExecutorOverride); Count = auto. */
+std::atomic<ExecTier> g_forced_tier{ExecTier::Count};
+/** Superop formation gate (setSuperopsEnabled). */
+std::atomic<bool> g_superops{true};
 /** The options compileKernel lowers with (setCompileLowerOptions). */
 std::mutex g_lower_mtx;
 LowerOptions g_lower;
@@ -1264,57 +1262,26 @@ LowerOptions g_lower;
 ExecTier
 executorOverride()
 {
-    uint8_t v = g_forced_tier.load(std::memory_order_relaxed);
-    if (v > static_cast<uint8_t>(ExecTier::Count)) {
-        ExecTier t = ExecTier::Count;
-        if (const char *env = std::getenv("VCB_EXECUTOR")) {
-            const std::string s(env);
-            if (s == "trace")
-                t = ExecTier::Trace;
-            else if (s == "block")
-                t = ExecTier::Block;
-            else if (s == "lane")
-                t = ExecTier::LaneMajor;
-            else if (s == "instrumented")
-                t = ExecTier::Instrumented;
-            else if (!s.empty() && s != "auto")
-                fatal("VCB_EXECUTOR='%s' is not one of "
-                      "trace/block/lane/instrumented/auto",
-                      env);
-        }
-        v = static_cast<uint8_t>(t);
-        g_forced_tier.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<ExecTier>(v);
+    return g_forced_tier.load(std::memory_order_relaxed);
 }
 
 void
 setExecutorOverride(ExecTier t)
 {
-    // Count resets to "unread" so the next query re-parses the env.
-    g_forced_tier.store(t == ExecTier::Count
-                            ? static_cast<uint8_t>(ExecTier::Count) + 1
-                            : static_cast<uint8_t>(t),
-                        std::memory_order_relaxed);
+    g_forced_tier.store(t, std::memory_order_relaxed);
 }
 
 bool
 superopsEnabled()
 {
-    int v = g_superops.load(std::memory_order_relaxed);
-    if (v < 0) {
-        const char *env = std::getenv("VCB_SUPEROPS");
-        v = (env && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-        g_superops.store(v, std::memory_order_relaxed);
-    }
-    return v != 0;
+    return g_superops.load(std::memory_order_relaxed);
 }
 
 void
 setSuperopsEnabled(int enabled)
 {
-    g_superops.store(enabled < 0 ? -1 : (enabled != 0),
-                     std::memory_order_relaxed);
+    // -1 (back to the default) and 1 both mean on.
+    g_superops.store(enabled != 0, std::memory_order_relaxed);
 }
 
 LowerOptions

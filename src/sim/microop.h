@@ -308,7 +308,7 @@ struct LowerOptions
     /** Integer ALU pairs (IMulAdd/IAddAdd, the indexing idiom). */
     bool fuseMulAdd = true;
     /** Straight-line runs into templated superops (MOp::Super); also
-     *  gated at run time by VCB_SUPEROPS / setSuperopsEnabled(). */
+     *  gated at run time by setSuperopsEnabled(). */
     bool fuseSuperops = true;
 
     static LowerOptions noFusion()
@@ -332,22 +332,22 @@ const char *mopName(MOp op);
  *  branch/atomic-free kernels, Block otherwise.  The interpreter
  *  upgrades to Instrumented when robust access demands it (or a
  *  sampled workgroup meets a forced lane-major tier), and
- *  VCB_EXECUTOR overrides the result for debugging. */
+ *  setExecutorOverride overrides the result in tests. */
 ExecTier chooseExecTier(const MicroKernel &mk);
 
 /** The tier a non-instrumented dispatch of this kernel actually runs:
- *  chooseExecTier unless VCB_EXECUTOR / setExecutorOverride forces one
+ *  chooseExecTier unless setExecutorOverride forces one
  *  (a forced Trace degrades to Block when the body is not
  *  straight-line). */
 ExecTier effectiveExecTier(const MicroKernel &mk);
 
-/** Run-time gate for superop formation (cached VCB_SUPEROPS; any
- *  value but "0" enables).  Checked by lowerKernel on top of
+/** Run-time gate for superop formation (on unless
+ *  setSuperopsEnabled(0)).  Checked by lowerKernel on top of
  *  LowerOptions::fuseSuperops. */
 bool superopsEnabled();
 
-/** Force superop formation on (1) / off (0), or re-read the
- *  environment (-1).  Test hook, like setExecutorOverride(). */
+/** Force superop formation on (1) / off (0), or back to the default,
+ *  on (-1).  Test hook, like setExecutorOverride(). */
 void setSuperopsEnabled(int enabled);
 
 /** The options compileKernel lowers with (default-constructed unless
@@ -433,6 +433,25 @@ evalBin(BinKind kind, uint32_t x, uint32_t y)
       case BinKind::Count: break;
     }
     return 0;
+}
+
+/** Signed 32-bit division of two register words.  SPIR-V leaves
+ *  INT_MIN / -1 undefined and x86's idiv traps on it; the simulator
+ *  defines it as the two's-complement wrap (INT_MIN).  The caller has
+ *  rejected a zero divisor. */
+inline uint32_t
+sdivWrap(uint32_t x, uint32_t y)
+{
+    return y == ~0u ? 0u - x
+                    : static_cast<uint32_t>(bitsToS(x) / bitsToS(y));
+}
+
+/** Signed 32-bit remainder, with INT_MIN % -1 defined as 0 (see
+ *  sdivWrap).  The caller has rejected a zero divisor. */
+inline uint32_t
+sremWrap(uint32_t x, uint32_t y)
+{
+    return y == ~0u ? 0u : static_cast<uint32_t>(bitsToS(x) % bitsToS(y));
 }
 
 } // namespace vcb::sim

@@ -66,8 +66,8 @@ class CoalesceSampler
     }
 
     /** Record one access at `site` by each of lanes [lane0, lane0 + n),
-     *  lane l at word address word_addr[l - lane0] — what the blocked
-     *  executors see for one memory op.  Equivalent to n record()
+     *  lane l at word address word_addr[l - lane0] — what the op-major
+     *  executor sees for one memory op.  Equivalent to n record()
      *  calls: each group is a set, so only the per-lane order of one
      *  site's accesses matters, never the interleaving across lanes.
      *  Consecutive lanes of one warp at one occurrence share a group,

@@ -705,24 +705,27 @@ expectIdenticalCompiles(const CompiledKernel &a, const CompiledKernel &b,
 
     const MicroKernel &ma = *a.micro, &mb = *b.micro;
     ASSERT_EQ(ma.ops.size(), mb.ops.size()) << what;
-    if (!ma.ops.empty())
+    if (!ma.ops.empty()) {
         EXPECT_EQ(std::memcmp(ma.ops.data(), mb.ops.data(),
                               ma.ops.size() * sizeof(MicroOp)),
                   0)
             << what;
+    }
     ASSERT_EQ(ma.templateOps.size(), mb.templateOps.size()) << what;
-    if (!ma.templateOps.empty())
+    if (!ma.templateOps.empty()) {
         EXPECT_EQ(std::memcmp(ma.templateOps.data(),
                               mb.templateOps.data(),
                               ma.templateOps.size() * sizeof(MicroOp)),
                   0)
             << what;
+    }
     ASSERT_EQ(ma.supers.size(), mb.supers.size()) << what;
-    if (!ma.supers.empty())
+    if (!ma.supers.empty()) {
         EXPECT_EQ(std::memcmp(ma.supers.data(), mb.supers.data(),
                               ma.supers.size() * sizeof(SuperOp)),
                   0)
             << what;
+    }
     EXPECT_EQ(ma.templateDsts, mb.templateDsts) << what;
     EXPECT_EQ(ma.costFrom, mb.costFrom) << what;
     EXPECT_EQ(ma.hoistedCost, mb.hoistedCost) << what;

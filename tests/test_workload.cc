@@ -272,8 +272,9 @@ TEST(WorkloadMultiQueue, FourQueuesOverlapOnDagWorkloads)
         // busy > elapsed holds only where device work dominates the
         // region: nn is compute-bound, kmeans spends its region on
         // per-iteration transfers and host centroid updates.
-        if (std::string(name) == "nn")
+        if (std::string(name) == "nn") {
             EXPECT_GT(r4.deviceBusyNs, r4.kernelRegionNs) << name;
+        }
     }
 }
 
