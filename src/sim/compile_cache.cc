@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
-#include "common/logging.h"
 #include "sim/device_file.h"
 #include "sim/kernel.h"
 
@@ -27,41 +24,8 @@ fnv1a(const void *data, size_t bytes, uint64_t h = kFnvOffset)
     return h;
 }
 
-/** -1 = not read yet; 0 = off; 1 = on. */
-std::atomic<int> g_cacheEnabled{-1};
-
-/** Parsed VCB_COMPILE_CACHE: enabled flag + optional capacity. */
-struct CacheEnv
-{
-    bool enabled = true;
-    size_t capacity = 1024;
-};
-
-CacheEnv
-readCacheEnv()
-{
-    CacheEnv env;
-    const char *v = std::getenv("VCB_COMPILE_CACHE");
-    if (!v || !*v)
-        return env;
-    std::string s(v);
-    if (s == "0" || s == "off" || s == "OFF") {
-        env.enabled = false;
-        return env;
-    }
-    if (s == "1" || s == "on" || s == "ON")
-        return env;
-    char *end = nullptr;
-    long n = std::strtol(v, &end, 10);
-    if (end && *end == '\0' && n > 0) {
-        env.capacity = static_cast<size_t>(n);
-        return env;
-    }
-    warn("ignoring invalid VCB_COMPILE_CACHE='%s' "
-         "(want 0/off, 1/on or a positive entry count)",
-         v);
-    return env;
-}
+/** compileKernel consults the global instance (setGlobalEnabled). */
+std::atomic<bool> g_cacheEnabled{true};
 
 } // namespace
 
@@ -89,14 +53,8 @@ makeCompileCacheKey(const spirv::Module &m, const DeviceSpec &dev,
     key.deviceFp = deviceFingerprint(dev);
     const LowerOptions opt = compileLowerOptions();
     uint32_t cfg = static_cast<uint32_t>(api);
-    cfg |= (opt.fuseCmpBranch ? 1u : 0u) << 2;
-    cfg |= (opt.fuseConstAlu ? 1u : 0u) << 3;
-    cfg |= (opt.fuseAddrMem ? 1u : 0u) << 4;
-    cfg |= (opt.fuseMulAdd ? 1u : 0u) << 5;
-    cfg |= (opt.fuseSuperops ? 1u : 0u) << 6;
-    // lowerKernel gates superop formation on the setSuperopsEnabled()
-    // switch on top of LowerOptions, so it is part of the content key.
-    cfg |= (superopsEnabled() ? 1u : 0u) << 7;
+    cfg |= (opt.fusePairs ? 1u : 0u) << 2;
+    cfg |= (opt.fuseSuperops ? 1u : 0u) << 3;
     key.config = cfg;
     return key;
 }
@@ -122,26 +80,21 @@ CompileCache::CompileCache(size_t capacity, size_t shard_count)
 CompileCache &
 CompileCache::global()
 {
-    static CompileCache cache(readCacheEnv().capacity, 8);
+    static CompileCache cache;
     return cache;
 }
 
 bool
 CompileCache::globalEnabled()
 {
-    int v = g_cacheEnabled.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = readCacheEnv().enabled ? 1 : 0;
-        g_cacheEnabled.store(v, std::memory_order_relaxed);
-    }
-    return v != 0;
+    return g_cacheEnabled.load(std::memory_order_relaxed);
 }
 
 void
 CompileCache::setGlobalEnabled(int enabled)
 {
-    g_cacheEnabled.store(enabled < 0 ? -1 : (enabled ? 1 : 0),
-                         std::memory_order_relaxed);
+    // -1 (back to the default) and 1 both mean on.
+    g_cacheEnabled.store(enabled != 0, std::memory_order_relaxed);
 }
 
 CompileCache::Shard &

@@ -17,8 +17,7 @@
  *  - the kernel source, as an FNV-1a hash of the module's canonical
  *    binary serialization (spirv::Module::serialize — name, local
  *    size, bindings, push/shared sizes and the full code stream);
- *  - the effective lowering configuration (compileLowerOptions() bits
- *    plus the setSuperopsEnabled() gate, which lowerKernel consults);
+ *  - the lowering configuration (the two compileLowerOptions() bits);
  *  - the device, as an FNV-1a hash of its canonical spec-file text
  *    (sim/device_file.h serializeDevice — every architectural and
  *    driver-profile field, so two near-identical DeviceSpecs can never
@@ -41,10 +40,6 @@
  * and tests/test_interpreter.cc enforces it (program bytes,
  * DispatchStats and kernelNs bit-identical across the full kernel
  * registry).
- *
- * The VCB_COMPILE_CACHE environment knob controls the process-wide
- * instance: unset/"1"/"on" = enabled (default capacity), "0"/"off" =
- * disabled, a positive integer = enabled with that entry capacity.
  */
 
 #ifndef VCB_SIM_COMPILE_CACHE_H
@@ -80,16 +75,14 @@ struct CompileCacheKey
 {
     uint64_t moduleHash = 0;
     uint64_t deviceFp = 0;
-    /** api | LowerOptions bits | superops runtime gate (see
-     *  makeCompileCacheKey). */
+    /** api | LowerOptions bits (see makeCompileCacheKey). */
     uint32_t config = 0;
 
     bool operator==(const CompileCacheKey &) const = default;
 };
 
 /** Key for one compileKernel invocation; the lowering options it will
- *  use (compileLowerOptions()) and the setSuperopsEnabled() gate are
- *  folded in here. */
+ *  use (compileLowerOptions()) are folded in here. */
 CompileCacheKey makeCompileCacheKey(const spirv::Module &m,
                                     const DeviceSpec &dev, Api api);
 
@@ -130,18 +123,17 @@ class CompileCache
      */
     explicit CompileCache(size_t capacity = 1024, size_t shards = 8);
 
-    /** The process-wide instance compileKernel consults (capacity from
-     *  VCB_COMPILE_CACHE when it parses as a positive integer). */
+    /** The process-wide instance compileKernel consults (1024
+     *  entries). */
     static CompileCache &global();
 
-    /** Whether compileKernel should consult the global instance:
-     *  VCB_COMPILE_CACHE unset/"1"/"on" = yes, "0"/"off" = no, as
-     *  overridden by setGlobalEnabled. */
+    /** Whether compileKernel consults the global instance (on unless
+     *  setGlobalEnabled(0)). */
     static bool globalEnabled();
 
-    /** Force the global gate on (1) / off (0), or re-read the
-     *  environment (-1).  Test/ablation hook, like
-     *  setSuperopsEnabled(). */
+    /** Switch the global gate on (1) / off (0), or back to the
+     *  default, on (-1).  Used by vcb_load's cache phases, vcb_serve's
+     *  `cache` request and tests. */
     static void setGlobalEnabled(int enabled);
 
     /** Deep copy of the cached artefact, or nullptr on miss.  A hit

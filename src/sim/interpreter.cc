@@ -1,5 +1,6 @@
 #include "sim/interpreter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -79,11 +80,57 @@ evalTemplateOp(const MicroOp &op, uint32_t *r, const DispatchContext &ctx,
       case MOp::Select:
         r[op.a] = r[op.b] ? r[op.c] : r[op.d];
         break;
-      case MOp::ConstAlu:
-        r[op.a] = op.b;
-        r[op.c] =
-            evalBin(static_cast<BinKind>(op.aux), r[op.d], r[op.e]);
+      case MOp::IAdd: r[op.a] = r[op.b] + r[op.c]; break;
+      case MOp::ISub: r[op.a] = r[op.b] - r[op.c]; break;
+      case MOp::IMul: r[op.a] = r[op.b] * r[op.c]; break;
+      case MOp::IMin:
+        r[op.a] = static_cast<uint32_t>(
+            std::min(bitsToS(r[op.b]), bitsToS(r[op.c])));
         break;
+      case MOp::IMax:
+        r[op.a] = static_cast<uint32_t>(
+            std::max(bitsToS(r[op.b]), bitsToS(r[op.c])));
+        break;
+      case MOp::IAnd: r[op.a] = r[op.b] & r[op.c]; break;
+      case MOp::IOr: r[op.a] = r[op.b] | r[op.c]; break;
+      case MOp::IXor: r[op.a] = r[op.b] ^ r[op.c]; break;
+      case MOp::IShl: r[op.a] = r[op.b] << (r[op.c] & 31); break;
+      case MOp::IShrU: r[op.a] = r[op.b] >> (r[op.c] & 31); break;
+      case MOp::IShrS:
+        r[op.a] = static_cast<uint32_t>(bitsToS(r[op.b]) >> (r[op.c] & 31));
+        break;
+      case MOp::FAdd:
+        r[op.a] = fToBits(bitsToF(r[op.b]) + bitsToF(r[op.c]));
+        break;
+      case MOp::FSub:
+        r[op.a] = fToBits(bitsToF(r[op.b]) - bitsToF(r[op.c]));
+        break;
+      case MOp::FMul:
+        r[op.a] = fToBits(bitsToF(r[op.b]) * bitsToF(r[op.c]));
+        break;
+      case MOp::FDiv:
+        r[op.a] = fToBits(bitsToF(r[op.b]) / bitsToF(r[op.c]));
+        break;
+      case MOp::FMin:
+        r[op.a] = fToBits(std::fmin(bitsToF(r[op.b]), bitsToF(r[op.c])));
+        break;
+      case MOp::FMax:
+        r[op.a] = fToBits(std::fmax(bitsToF(r[op.b]), bitsToF(r[op.c])));
+        break;
+      case MOp::IEq: r[op.a] = r[op.b] == r[op.c]; break;
+      case MOp::INe: r[op.a] = r[op.b] != r[op.c]; break;
+      case MOp::ILt: r[op.a] = bitsToS(r[op.b]) < bitsToS(r[op.c]); break;
+      case MOp::ILe: r[op.a] = bitsToS(r[op.b]) <= bitsToS(r[op.c]); break;
+      case MOp::IGt: r[op.a] = bitsToS(r[op.b]) > bitsToS(r[op.c]); break;
+      case MOp::IGe: r[op.a] = bitsToS(r[op.b]) >= bitsToS(r[op.c]); break;
+      case MOp::ULt: r[op.a] = r[op.b] < r[op.c]; break;
+      case MOp::UGe: r[op.a] = r[op.b] >= r[op.c]; break;
+      case MOp::FEq: r[op.a] = bitsToF(r[op.b]) == bitsToF(r[op.c]); break;
+      case MOp::FNe: r[op.a] = bitsToF(r[op.b]) != bitsToF(r[op.c]); break;
+      case MOp::FLt: r[op.a] = bitsToF(r[op.b]) < bitsToF(r[op.c]); break;
+      case MOp::FLe: r[op.a] = bitsToF(r[op.b]) <= bitsToF(r[op.c]); break;
+      case MOp::FGt: r[op.a] = bitsToF(r[op.b]) > bitsToF(r[op.c]); break;
+      case MOp::FGe: r[op.a] = bitsToF(r[op.b]) >= bitsToF(r[op.c]); break;
       case MOp::IMulAdd: {
         uint32_t t = r[op.b] * r[op.c];
         r[op.a] = t;
@@ -96,50 +143,8 @@ evalTemplateOp(const MicroOp &op, uint32_t *r, const DispatchContext &ctx,
         r[op.d] = t + r[op.e];
         break;
       }
-      default: {
-        // Remaining template-pure ops are binary ALU / compares whose
-        // MOp order mirrors the interpreter cases; evaluate via the
-        // shared evalBin table.
-        BinKind kind;
-        switch (op.op) {
-          case MOp::IAdd: kind = BinKind::IAdd; break;
-          case MOp::ISub: kind = BinKind::ISub; break;
-          case MOp::IMul: kind = BinKind::IMul; break;
-          case MOp::IMin: kind = BinKind::IMin; break;
-          case MOp::IMax: kind = BinKind::IMax; break;
-          case MOp::IAnd: kind = BinKind::IAnd; break;
-          case MOp::IOr:  kind = BinKind::IOr;  break;
-          case MOp::IXor: kind = BinKind::IXor; break;
-          case MOp::IShl: kind = BinKind::IShl; break;
-          case MOp::IShrU: kind = BinKind::IShrU; break;
-          case MOp::IShrS: kind = BinKind::IShrS; break;
-          case MOp::FAdd: kind = BinKind::FAdd; break;
-          case MOp::FSub: kind = BinKind::FSub; break;
-          case MOp::FMul: kind = BinKind::FMul; break;
-          case MOp::FDiv: kind = BinKind::FDiv; break;
-          case MOp::FMin: kind = BinKind::FMin; break;
-          case MOp::FMax: kind = BinKind::FMax; break;
-          case MOp::IEq: kind = BinKind::IEq; break;
-          case MOp::INe: kind = BinKind::INe; break;
-          case MOp::ILt: kind = BinKind::ILt; break;
-          case MOp::ILe: kind = BinKind::ILe; break;
-          case MOp::IGt: kind = BinKind::IGt; break;
-          case MOp::IGe: kind = BinKind::IGe; break;
-          case MOp::ULt: kind = BinKind::ULt; break;
-          case MOp::UGe: kind = BinKind::UGe; break;
-          case MOp::FEq: kind = BinKind::FEq; break;
-          case MOp::FNe: kind = BinKind::FNe; break;
-          case MOp::FLt: kind = BinKind::FLt; break;
-          case MOp::FLe: kind = BinKind::FLe; break;
-          case MOp::FGt: kind = BinKind::FGt; break;
-          case MOp::FGe: kind = BinKind::FGe; break;
-          default:
-            panic("op %u is not template-pure",
-                  static_cast<unsigned>(op.op));
-        }
-        r[op.a] = evalBin(kind, r[op.b], r[op.c]);
-        break;
-      }
+      default:
+        panic("op %u is not template-pure", static_cast<unsigned>(op.op));
     }
 }
 
@@ -592,10 +597,6 @@ VCB_CMPBR(CmpBrFLe, bitsToF(x) <= bitsToF(y))
 VCB_CMPBR(CmpBrFGt, bitsToF(x) > bitsToF(y))
 VCB_CMPBR(CmpBrFGe, bitsToF(x) >= bitsToF(y))
 
-VCB_OP(ConstAlu)
-    R(ip->a) = ip->b;
-    R(ip->c) = evalBin(static_cast<BinKind>(ip->aux), R(ip->d), R(ip->e));
-    NEXT;
 VCB_OP(IAddLd) {
     uint32_t addr = R(ip->b) + R(ip->c);
     R(ip->a) = addr;
@@ -682,83 +683,6 @@ VCB_OP(FMulFAdd) {
     R(ip->a) = fToBits(t);
     const float z = bitsToF(R(ip->e));
     R(ip->d) = fToBits(ip->aux & 1 ? t + z : z + t);
-    NEXT;
-}
-VCB_OP(FMulFSub) {
-    const float t = bitsToF(R(ip->b)) * bitsToF(R(ip->c));
-    R(ip->a) = fToBits(t);
-    const float z = bitsToF(R(ip->e));
-    R(ip->d) = fToBits(ip->aux & 1 ? t - z : z - t);
-    NEXT;
-}
-VCB_OP(LdShFMul) {
-    uint64_t addr = R(ip->b);
-    VCB_ASSERT(addr < shared_words,
-               "kernel '%s' @%u: shared load [%llu] out of bounds "
-               "(%llu words)",
-               k.module.name.c_str(), pcOf(), (unsigned long long)addr,
-               (unsigned long long)shared_words);
-    const uint32_t v = sh[addr];
-    R(ip->a) = v;
-    ws.sharedAccesses += 1;
-    const float z = bitsToF(R(ip->e));
-    R(ip->d) = fToBits(ip->aux & 1 ? bitsToF(v) * z : z * bitsToF(v));
-    NEXT;
-}
-VCB_OP(LdShFSub) {
-    uint64_t addr = R(ip->b);
-    VCB_ASSERT(addr < shared_words,
-               "kernel '%s' @%u: shared load [%llu] out of bounds "
-               "(%llu words)",
-               k.module.name.c_str(), pcOf(), (unsigned long long)addr,
-               (unsigned long long)shared_words);
-    const uint32_t v = sh[addr];
-    R(ip->a) = v;
-    ws.sharedAccesses += 1;
-    const float z = bitsToF(R(ip->e));
-    R(ip->d) = fToBits(ip->aux & 1 ? bitsToF(v) - z : z - bitsToF(v));
-    NEXT;
-}
-VCB_OP(LdShFDiv) {
-    uint64_t addr = R(ip->b);
-    VCB_ASSERT(addr < shared_words,
-               "kernel '%s' @%u: shared load [%llu] out of bounds "
-               "(%llu words)",
-               k.module.name.c_str(), pcOf(), (unsigned long long)addr,
-               (unsigned long long)shared_words);
-    const uint32_t v = sh[addr];
-    R(ip->a) = v;
-    ws.sharedAccesses += 1;
-    const float z = bitsToF(R(ip->e));
-    R(ip->d) = fToBits(ip->aux & 1 ? bitsToF(v) / z : z / bitsToF(v));
-    NEXT;
-}
-VCB_OP(FSubStSh) {
-    const uint32_t t =
-        fToBits(bitsToF(R(ip->b)) - bitsToF(R(ip->c)));
-    R(ip->a) = t;
-    uint64_t addr = R(ip->d);
-    VCB_ASSERT(addr < shared_words,
-               "kernel '%s' @%u: shared store [%llu] out of bounds "
-               "(%llu words)",
-               k.module.name.c_str(), pcOf(), (unsigned long long)addr,
-               (unsigned long long)shared_words);
-    sh[addr] = t;
-    ws.sharedAccesses += 1;
-    NEXT;
-}
-VCB_OP(FDivStSh) {
-    const uint32_t t =
-        fToBits(bitsToF(R(ip->b)) / bitsToF(R(ip->c)));
-    R(ip->a) = t;
-    uint64_t addr = R(ip->d);
-    VCB_ASSERT(addr < shared_words,
-               "kernel '%s' @%u: shared store [%llu] out of bounds "
-               "(%llu words)",
-               k.module.name.c_str(), pcOf(), (unsigned long long)addr,
-               (unsigned long long)shared_words);
-    sh[addr] = t;
-    ws.sharedAccesses += 1;
     NEXT;
 }
 
@@ -1681,69 +1605,6 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
             }
             break;
           }
-          case MOp::FMulFSub: {
-            uint32_t *const A = V(in.a);
-            const uint32_t *const B = V(in.b);
-            const uint32_t *const C = V(in.c);
-            uint32_t *const D = V(in.d);
-            const uint32_t *const E = V(in.e);
-            const bool left = in.aux & 1;
-            for (size_t l = 0; l < n; ++l) {
-                const float t = bitsToF(B[l]) * bitsToF(C[l]);
-                A[l] = fToBits(t);
-                const float z = bitsToF(E[l]);
-                D[l] = fToBits(left ? t - z : z - t);
-            }
-            break;
-          }
-          case MOp::LdShFMul:
-          case MOp::LdShFSub:
-          case MOp::LdShFDiv: {
-            uint32_t *const A = V(in.a);
-            const uint32_t *const B = V(in.b);
-            uint32_t *const D = V(in.d);
-            const uint32_t *const E = V(in.e);
-            const bool left = in.aux & 1;
-            for (size_t l = 0; l < n; ++l) {
-                const uint32_t addr = B[l];
-                if (addr >= shared_words) [[unlikely]]
-                    shOob("load", addr);
-                const uint32_t v = sh[addr];
-                A[l] = v;
-                const float fv = bitsToF(v);
-                const float z = bitsToF(E[l]);
-                float res;
-                if (in.op == MOp::LdShFMul)
-                    res = left ? fv * z : z * fv;
-                else if (in.op == MOp::LdShFSub)
-                    res = left ? fv - z : z - fv;
-                else
-                    res = left ? fv / z : z / fv;
-                D[l] = fToBits(res);
-            }
-            ws.sharedAccesses += n;
-            break;
-          }
-          case MOp::FSubStSh:
-          case MOp::FDivStSh: {
-            uint32_t *const A = V(in.a);
-            const uint32_t *const B = V(in.b);
-            const uint32_t *const C = V(in.c);
-            const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < n; ++l) {
-                const float x = bitsToF(B[l]);
-                const float y = bitsToF(C[l]);
-                const uint32_t t =
-                    fToBits(in.op == MOp::FSubStSh ? x - y : x / y);
-                A[l] = t;
-                const uint32_t addr = D[l];
-                if (addr >= shared_words) [[unlikely]]
-                    shOob("store", addr);
-                sh[addr] = t;
-            }
-            ws.sharedAccesses += n;
-            break;
-          }
           case MOp::IDivRem: {
             uint32_t *const A = V(in.a);
             const uint32_t *const B = V(in.b);
@@ -1825,18 +1686,6 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
           VCMPBR(CmpBrFLe, bitsToF(x) <= bitsToF(y))
           VCMPBR(CmpBrFGt, bitsToF(x) > bitsToF(y))
           VCMPBR(CmpBrFGe, bitsToF(x) >= bitsToF(y))
-
-          case MOp::ConstAlu: {
-            uint32_t *const A = V(in.a);
-            uint32_t *const C2 = V(in.c);
-            const uint32_t *const D = V(in.d);
-            const uint32_t *const E = V(in.e);
-            const BinKind kind = static_cast<BinKind>(in.aux);
-            std::fill_n(A, n, in.b);
-            for (size_t l = 0; l < n; ++l)
-                C2[l] = evalBin(kind, D[l], E[l]);
-            break;
-          }
 
           case MOp::Barrier:
             std::fill_n(span_pcs, n, pc + 1);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 
 #include "common/logging.h"
@@ -52,56 +53,6 @@ opCost(Op op)
 }
 
 namespace {
-
-/** Map a source op to the fused-executor BinKind.  Covers exactly the
- *  (DstReg, SrcReg, SrcReg) binary ops whose evaluation evalBin()
- *  reproduces bit-identically; trapping ops (IDiv/IRem) and ternary
- *  ops stay unfused. */
-bool
-binKindOf(Op op, BinKind *out)
-{
-    switch (op) {
-      case Op::IAdd: *out = BinKind::IAdd; return true;
-      case Op::ISub: *out = BinKind::ISub; return true;
-      case Op::IMul: *out = BinKind::IMul; return true;
-      case Op::IMin: *out = BinKind::IMin; return true;
-      case Op::IMax: *out = BinKind::IMax; return true;
-      case Op::IAnd: *out = BinKind::IAnd; return true;
-      case Op::IOr:  *out = BinKind::IOr;  return true;
-      case Op::IXor: *out = BinKind::IXor; return true;
-      case Op::IShl: *out = BinKind::IShl; return true;
-      case Op::IShrU: *out = BinKind::IShrU; return true;
-      case Op::IShrS: *out = BinKind::IShrS; return true;
-      case Op::FAdd: *out = BinKind::FAdd; return true;
-      case Op::FSub: *out = BinKind::FSub; return true;
-      case Op::FMul: *out = BinKind::FMul; return true;
-      case Op::FDiv: *out = BinKind::FDiv; return true;
-      case Op::FMin: *out = BinKind::FMin; return true;
-      case Op::FMax: *out = BinKind::FMax; return true;
-      case Op::IEq: *out = BinKind::IEq; return true;
-      case Op::INe: *out = BinKind::INe; return true;
-      case Op::ILt: *out = BinKind::ILt; return true;
-      case Op::ILe: *out = BinKind::ILe; return true;
-      case Op::IGt: *out = BinKind::IGt; return true;
-      case Op::IGe: *out = BinKind::IGe; return true;
-      case Op::ULt: *out = BinKind::ULt; return true;
-      case Op::UGe: *out = BinKind::UGe; return true;
-      case Op::FEq: *out = BinKind::FEq; return true;
-      case Op::FNe: *out = BinKind::FNe; return true;
-      case Op::FLt: *out = BinKind::FLt; return true;
-      case Op::FLe: *out = BinKind::FLe; return true;
-      case Op::FGt: *out = BinKind::FGt; return true;
-      case Op::FGe: *out = BinKind::FGe; return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isCompare(Op op, BinKind *out)
-{
-    return op >= Op::IEq && op <= Op::FGe && binKindOf(op, out);
-}
 
 bool
 isCmpBr(MOp op)
@@ -228,20 +179,12 @@ forEachDst(const MicroOp &op, Fn fn)
       case MOp::Barrier:
       case MOp::Ret:
         break;
-      case MOp::ConstAlu:
-        fn(op.a);
-        fn(op.c);
-        break;
       case MOp::IMulAdd:
       case MOp::IAddAdd:
       case MOp::IAddLd:
       case MOp::IAddLdSh:
       case MOp::MulAddStSh:
       case MOp::FMulFAdd:
-      case MOp::FMulFSub:
-      case MOp::LdShFMul:
-      case MOp::LdShFSub:
-      case MOp::LdShFDiv:
       case MOp::IDivRem:
         fn(op.a);
         fn(op.d);
@@ -312,10 +255,6 @@ forEachSrc(const MicroOp &op, Fn fn)
       case MOp::BrFalse:
         fn(op.a);
         break;
-      case MOp::ConstAlu:
-        fn(op.d);
-        fn(op.e);
-        break;
       case MOp::IAddLd:
       case MOp::IAddLdSh:
       case MOp::IDivRem:
@@ -324,8 +263,6 @@ forEachSrc(const MicroOp &op, Fn fn)
         break;
       case MOp::IAddSt:
       case MOp::IAddStSh:
-      case MOp::FSubStSh:
-      case MOp::FDivStSh:
         fn(op.b);
         fn(op.c);
         fn(op.d);
@@ -334,7 +271,6 @@ forEachSrc(const MicroOp &op, Fn fn)
       case MOp::IAddAdd:
       case MOp::MulAddLdSh:
       case MOp::FMulFAdd:
-      case MOp::FMulFSub:
         fn(op.b);
         fn(op.c);
         fn(op.e);
@@ -344,12 +280,6 @@ forEachSrc(const MicroOp &op, Fn fn)
         fn(op.c);
         fn(op.e);
         fn(op.aux);
-        break;
-      case MOp::LdShFMul:
-      case MOp::LdShFSub:
-      case MOp::LdShFDiv:
-        fn(op.b);
-        fn(op.e);
         break;
       case MOp::Super:
       case MOp::SuperLoop:
@@ -407,7 +337,6 @@ isTemplatePure(const MicroOp &op)
       case MOp::FEq: case MOp::FNe: case MOp::FLt: case MOp::FLe:
       case MOp::FGt: case MOp::FGe:
       case MOp::Select:
-      case MOp::ConstAlu:
       case MOp::IMulAdd:
       case MOp::IAddAdd:
         return true;
@@ -421,7 +350,7 @@ isTemplatePure(const MicroOp &op)
 /**
  * Are all source registers of a template-pure op already uniform?
  * Fused ops may read a register they themselves wrote earlier in
- * their own sequence (e.g. ConstAlu's ALU consuming its constant) —
+ * their own sequence (e.g. IMulAdd's add consuming its product) —
  * those self-references are uniform by construction.
  */
 bool
@@ -443,9 +372,6 @@ templateSrcsUniform(const MicroOp &op, const std::vector<uint8_t> &uni)
       case MOp::FFma:
       case MOp::Select:
         return u(op.b) && u(op.c) && u(op.d);
-      case MOp::ConstAlu:
-        // r[a] = imm happens first; the ALU may read it.
-        return (u(op.d) || op.d == op.a) && (u(op.e) || op.e == op.a);
       case MOp::IMulAdd:
       case MOp::IAddAdd:
         // b and c are read before a is written; e after.
@@ -914,7 +840,7 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
         micro_of[i] = static_cast<uint32_t>(mk.ops.size());
         const Insn &in = insns[i];
 
-        if (i + 1 < n && !is_target[i + 1]) {
+        if (opt.fusePairs && i + 1 < n && !is_target[i + 1]) {
             const Insn &nx = insns[i + 1];
             const uint8_t pair_cost =
                 static_cast<uint8_t>(opCost(in.op) + opCost(nx.op));
@@ -925,20 +851,18 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
                 ++mk.fusedPairs;
                 i += 2;
             };
-            BinKind kind;
-            if (opt.fuseCmpBranch && isCompare(in.op, &kind) &&
+            if (in.op >= Op::IEq && in.op <= Op::FGe &&
                 (nx.op == Op::BrTrue || nx.op == Op::BrFalse) &&
                 nx.a == in.a) {
                 static_assert(
                     static_cast<int>(MOp::CmpBrFGe) -
                             static_cast<int>(MOp::CmpBrIEq) ==
-                        static_cast<int>(BinKind::FGe) -
-                            static_cast<int>(BinKind::IEq),
-                    "CmpBr block out of sync with BinKind comparisons");
+                        static_cast<int>(Op::FGe) -
+                            static_cast<int>(Op::IEq),
+                    "CmpBr block out of sync with the spirv compares");
                 const MOp cmp_br = static_cast<MOp>(
                     static_cast<int>(MOp::CmpBrIEq) +
-                    (static_cast<int>(kind) -
-                     static_cast<int>(BinKind::IEq)));
+                    (static_cast<int>(in.op) - static_cast<int>(Op::IEq)));
                 uint16_t sense = nx.op == Op::BrTrue ? 1 : 0;
                 fused({cmp_br, sense, in.a, in.b, in.c, nx.b, 0});
                 continue;
@@ -949,45 +873,40 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
                 // written (it may be read downstream).
                 const uint32_t nx_site =
                     k.siteOfInsn[i + 1] ? k.siteOfInsn[i + 1] - 1 : 0;
-                if (opt.fuseAddrMem && nx.op == Op::LdBuf &&
-                    nx.c == in.a) {
+                if (nx.op == Op::LdBuf && nx.c == in.a) {
                     fused({MOp::IAddLd, static_cast<uint16_t>(nx.b),
                            in.a, in.b, in.c, nx.a, nx_site});
                     continue;
                 }
-                if (opt.fuseAddrMem && nx.op == Op::StBuf &&
-                    nx.b == in.a) {
+                if (nx.op == Op::StBuf && nx.b == in.a) {
                     fused({MOp::IAddSt, static_cast<uint16_t>(nx.a),
                            in.a, in.b, in.c, nx.c, nx_site});
                     continue;
                 }
-                if (opt.fuseAddrMem && nx.op == Op::LdShared &&
-                    nx.b == in.a) {
+                if (nx.op == Op::LdShared && nx.b == in.a) {
                     fused({MOp::IAddLdSh, 0, in.a, in.b, in.c, nx.a, 0});
                     continue;
                 }
-                if (opt.fuseAddrMem && nx.op == Op::StShared &&
-                    nx.a == in.a) {
+                if (nx.op == Op::StShared && nx.a == in.a) {
                     fused({MOp::IAddStSh, 0, in.a, in.b, in.c, nx.b, 0});
                     continue;
                 }
-                if (opt.fuseMulAdd && nx.op == Op::IAdd &&
-                    (nx.b == in.a || nx.c == in.a)) {
+                if (nx.op == Op::IAdd && (nx.b == in.a || nx.c == in.a)) {
                     const uint32_t other = nx.b == in.a ? nx.c : nx.b;
                     fused({MOp::IAddAdd, 0, in.a, in.b, in.c, nx.a,
                            other});
                     continue;
                 }
             }
-            if (opt.fuseMulAdd && in.op == Op::IMul &&
-                nx.op == Op::IAdd && (nx.b == in.a || nx.c == in.a)) {
+            if (in.op == Op::IMul && nx.op == Op::IAdd &&
+                (nx.b == in.a || nx.c == in.a)) {
                 // t = b*c feeding an add: addition commutes, so the
                 // other operand's position doesn't matter.
                 const uint32_t other = nx.b == in.a ? nx.c : nx.b;
                 // Triple: the add's result feeding a shared-memory
                 // access (the row*pitch+col staging idiom).  Three
                 // source ops collapse into one micro-op.
-                if (opt.fuseAddrMem && i + 2 < n && !is_target[i + 2]) {
+                if (i + 2 < n && !is_target[i + 2]) {
                     const Insn &n2 = insns[i + 2];
                     const uint8_t triple_cost = static_cast<uint8_t>(
                         opCost(in.op) + opCost(nx.op) + opCost(n2.op));
@@ -1017,47 +936,17 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
                 fused({MOp::IMulAdd, 0, in.a, in.b, in.c, nx.a, other});
                 continue;
             }
-            if (opt.fuseConstAlu &&
-                (in.op == Op::ConstI || in.op == Op::ConstF) &&
-                binKindOf(nx.op, &kind) &&
-                (nx.b == in.a || nx.c == in.a)) {
-                fused({MOp::ConstAlu, static_cast<uint16_t>(kind), in.a,
-                       in.b, nx.a, nx.b, nx.c});
-                continue;
-            }
-            // Float producer/consumer pairs (operand order preserved:
-            // aux bit 0 says the produced value is the left operand).
-            if (opt.fuseMulAdd && in.op == Op::FMul &&
-                (nx.op == Op::FAdd || nx.op == Op::FSub) &&
+            // Float multiply-add (operand order preserved: aux bit 0
+            // says the product is the left operand).
+            if (in.op == Op::FMul && nx.op == Op::FAdd &&
                 (nx.b == in.a || nx.c == in.a)) {
                 const uint16_t left = nx.b == in.a ? 1 : 0;
                 const uint32_t other = left ? nx.c : nx.b;
-                fused({nx.op == Op::FAdd ? MOp::FMulFAdd : MOp::FMulFSub,
-                       left, in.a, in.b, in.c, nx.a, other});
+                fused({MOp::FMulFAdd, left, in.a, in.b, in.c, nx.a, other});
                 continue;
             }
-            if (opt.fuseAddrMem && in.op == Op::LdShared &&
-                (nx.op == Op::FMul || nx.op == Op::FSub ||
-                 nx.op == Op::FDiv) &&
-                (nx.b == in.a || nx.c == in.a)) {
-                const uint16_t left = nx.b == in.a ? 1 : 0;
-                const uint32_t other = left ? nx.c : nx.b;
-                const MOp mop = nx.op == Op::FMul   ? MOp::LdShFMul
-                                : nx.op == Op::FSub ? MOp::LdShFSub
-                                                    : MOp::LdShFDiv;
-                fused({mop, left, in.a, in.b, 0, nx.a, other});
-                continue;
-            }
-            if (opt.fuseAddrMem &&
-                (in.op == Op::FSub || in.op == Op::FDiv) &&
-                nx.op == Op::StShared && nx.b == in.a) {
-                fused({in.op == Op::FSub ? MOp::FSubStSh : MOp::FDivStSh,
-                       0, in.a, in.b, in.c, nx.a, 0});
-                continue;
-            }
-            if (opt.fuseMulAdd && in.op == Op::IDiv &&
-                nx.op == Op::IRem && nx.b == in.b && nx.c == in.c &&
-                in.a != in.b && in.a != in.c) {
+            if (in.op == Op::IDiv && nx.op == Op::IRem && nx.b == in.b &&
+                nx.c == in.c && in.a != in.b && in.a != in.c) {
                 // Same operands and the quotient doesn't clobber them:
                 // one host division yields both results.
                 fused({MOp::IDivRem, 0, in.a, in.b, in.c, nx.a, 0});
@@ -1151,7 +1040,6 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
             break;
           case Op::Barrier:
             emit({MOp::Barrier, 0, 0, 0, 0, 0, 0}, c);
-            mk.hasBarrier = true;
             break;
           case Op::Ret:
             emit({MOp::Ret, 0, 0, 0, 0, 0, 0}, c);
@@ -1185,7 +1073,7 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
     // Pass 3.5: templated superops over the remaining stream, then
     // pass 3.6: counted loops around a superop body fuse into
     // run-to-completion SuperLoop records.
-    if (opt.fuseSuperops && superopsEnabled()) {
+    if (opt.fuseSuperops) {
         fuseSuperopRuns(mk, cost);
         if (!mk.supers.empty())
             fuseSuperLoops(mk, cost);
@@ -1252,8 +1140,6 @@ execTierName(ExecTier t)
 namespace {
 /** Forced tier (setExecutorOverride); Count = auto. */
 std::atomic<ExecTier> g_forced_tier{ExecTier::Count};
-/** Superop formation gate (setSuperopsEnabled). */
-std::atomic<bool> g_superops{true};
 /** The options compileKernel lowers with (setCompileLowerOptions). */
 std::mutex g_lower_mtx;
 LowerOptions g_lower;
@@ -1269,19 +1155,6 @@ void
 setExecutorOverride(ExecTier t)
 {
     g_forced_tier.store(t, std::memory_order_relaxed);
-}
-
-bool
-superopsEnabled()
-{
-    return g_superops.load(std::memory_order_relaxed);
-}
-
-void
-setSuperopsEnabled(int enabled)
-{
-    // -1 (back to the default) and 1 both mean on.
-    g_superops.store(enabled != 0, std::memory_order_relaxed);
 }
 
 LowerOptions
@@ -1332,11 +1205,9 @@ mopName(MOp op)
         "CmpBrIGe", "CmpBrULt", "CmpBrUGe",
         "CmpBrFEq", "CmpBrFNe", "CmpBrFLt", "CmpBrFLe", "CmpBrFGt",
         "CmpBrFGe",
-        "ConstAlu", "IAddLd", "IAddSt", "IMulAdd", "IAddAdd",
+        "IAddLd", "IAddSt", "IMulAdd", "IAddAdd",
         "IAddLdSh", "IAddStSh", "MulAddLdSh", "MulAddStSh",
-        "FMulFAdd", "FMulFSub",
-        "LdShFMul", "LdShFSub", "LdShFDiv",
-        "FSubStSh", "FDivStSh", "IDivRem",
+        "FMulFAdd", "IDivRem",
         "Super", "SuperLoop",
         "Barrier", "Ret",
     };
@@ -1372,27 +1243,23 @@ strf(const char *fmt, ...)
     return buf;
 }
 
-const char *
-binKindName(BinKind k)
-{
-    static const char *const names[] = {
-        "iadd", "isub", "imul", "imin", "imax", "iand", "ior", "ixor",
-        "ishl", "ishru", "ishrs",
-        "fadd", "fsub", "fmul", "fdiv", "fmin", "fmax",
-        "ieq", "ine", "ilt", "ile", "igt", "ige", "ult", "uge",
-        "feq", "fne", "flt", "fle", "fgt", "fge",
-    };
-    static_assert(sizeof(names) / sizeof(names[0]) ==
-                      static_cast<size_t>(BinKind::Count),
-                  "name table out of sync with BinKind");
-    const size_t raw = static_cast<size_t>(k);
-    return raw < static_cast<size_t>(BinKind::Count) ? names[raw] : "?";
-}
+/** Comparison symbols in IEq..FGe order, which CmpBrIEq..CmpBrFGe
+ *  share: one table serves plain and fused compares. */
+constexpr const char *kCmpSymbol[] = {"==", "!=", "<s", "<=s", ">s",
+                                      ">=s", "<u", ">=u", "==", "!=",
+                                      "<", "<=", ">", ">="};
+static_assert(std::size(kCmpSymbol) ==
+                  static_cast<size_t>(MOp::FGe) -
+                      static_cast<size_t>(MOp::IEq) + 1,
+              "compare symbol table out of sync with MOp");
 
 /** Infix symbol of a simple binary micro-op, or null. */
 const char *
 binSymbol(MOp op)
 {
+    if (op >= MOp::IEq && op <= MOp::FGe)
+        return kCmpSymbol[static_cast<size_t>(op) -
+                          static_cast<size_t>(MOp::IEq)];
     switch (op) {
       case MOp::IAdd: case MOp::FAdd: return "+";
       case MOp::ISub: case MOp::FSub: return "-";
@@ -1405,27 +1272,8 @@ binSymbol(MOp op)
       case MOp::IShl: return "<<";
       case MOp::IShrU: return ">>u";
       case MOp::IShrS: return ">>s";
-      case MOp::IEq: case MOp::FEq: return "==";
-      case MOp::INe: case MOp::FNe: return "!=";
-      case MOp::ILt: case MOp::FLt: return "<s";
-      case MOp::ILe: case MOp::FLe: return "<=s";
-      case MOp::IGt: case MOp::FGt: return ">s";
-      case MOp::IGe: case MOp::FGe: return ">=s";
-      case MOp::ULt: return "<u";
-      case MOp::UGe: return ">=u";
       default: return nullptr;
     }
-  }
-
-/** Comparison symbol of a CmpBr op (CmpBrIEq..CmpBrFGe). */
-const char *
-cmpBrSymbol(MOp op)
-{
-    static const char *const sym[] = {"==", "!=", "<s", "<=s", ">s",
-                                      ">=s", "<u", ">=u", "==", "!=",
-                                      "<", "<=", ">", ">="};
-    return sym[static_cast<size_t>(op) -
-               static_cast<size_t>(MOp::CmpBrIEq)];
 }
 
 } // namespace
@@ -1438,7 +1286,9 @@ renderMicroOp(const MicroKernel &mk, uint32_t pc)
         return strf("r%u = r%u %s r%u", o.a, o.b, sym, o.c);
     if (isCmpBr(o.op))
         return strf("r%u = r%u %s r%u; br @%u if %u", o.a, o.b,
-                    cmpBrSymbol(o.op), o.c, o.d, o.aux);
+                    kCmpSymbol[static_cast<size_t>(o.op) -
+                               static_cast<size_t>(MOp::CmpBrIEq)],
+                    o.c, o.d, o.aux);
     switch (o.op) {
       case MOp::Const:
         return strf("r%u = %u (%g)", o.a, o.b, bitsToF(o.b));
@@ -1475,10 +1325,6 @@ renderMicroOp(const MicroKernel &mk, uint32_t pc)
       case MOp::Jmp: return strf("jmp @%u", o.a);
       case MOp::BrTrue: return strf("br @%u if r%u", o.b, o.a);
       case MOp::BrFalse: return strf("br @%u if !r%u", o.b, o.a);
-      case MOp::ConstAlu:
-        return strf("r%u = %u (%g); r%u = %s(r%u, r%u)", o.a, o.b,
-                    bitsToF(o.b), o.c,
-                    binKindName(static_cast<BinKind>(o.aux)), o.d, o.e);
       case MOp::IAddLd:
         return strf("r%u = r%u + r%u; r%u = buf%u[r%u]  site %u", o.a,
                     o.b, o.c, o.d, o.aux, o.a, o.e);
@@ -1509,28 +1355,6 @@ renderMicroOp(const MicroKernel &mk, uint32_t pc)
                           o.c, o.d, o.a, o.e)
                    : strf("r%u = r%u * r%u; r%u = r%u + r%u", o.a, o.b,
                           o.c, o.d, o.e, o.a);
-      case MOp::FMulFSub:
-        return o.aux & 1
-                   ? strf("r%u = r%u * r%u; r%u = r%u - r%u", o.a, o.b,
-                          o.c, o.d, o.a, o.e)
-                   : strf("r%u = r%u * r%u; r%u = r%u - r%u", o.a, o.b,
-                          o.c, o.d, o.e, o.a);
-      case MOp::LdShFMul: case MOp::LdShFSub: case MOp::LdShFDiv: {
-        const char *sym = o.op == MOp::LdShFMul   ? "*"
-                          : o.op == MOp::LdShFSub ? "-"
-                                                  : "/";
-        return o.aux & 1
-                   ? strf("r%u = sh[r%u]; r%u = r%u %s r%u", o.a, o.b,
-                          o.d, o.a, sym, o.e)
-                   : strf("r%u = sh[r%u]; r%u = r%u %s r%u", o.a, o.b,
-                          o.d, o.e, sym, o.a);
-      }
-      case MOp::FSubStSh:
-        return strf("r%u = r%u - r%u; sh[r%u] = r%u", o.a, o.b, o.c,
-                    o.d, o.a);
-      case MOp::FDivStSh:
-        return strf("r%u = r%u / r%u; sh[r%u] = r%u", o.a, o.b, o.c,
-                    o.d, o.a);
       case MOp::IDivRem:
         return strf("r%u = r%u / r%u; r%u = r%u %% r%u", o.a, o.b, o.c,
                     o.d, o.b, o.c);

@@ -9,8 +9,9 @@
  *
  *  - operands are re-packed so everything the executor needs (memory
  *    site slot, builtin code, immediate) sits in the micro-op itself;
- *  - adjacent compare+branch and const+ALU pairs are fused into single
- *    micro-ops (never across branch targets);
+ *  - adjacent instruction pairs (compare+branch, address+access,
+ *    multiply+add, divide+remainder) are fused into single micro-ops
+ *    (never across branch targets);
  *  - per-op issue costs are folded into a suffix-sum table
  *    (costFrom[pc] = lane-cycles from pc to the end of its straight-
  *    line run), so the executor accumulates cycles once per control
@@ -29,9 +30,7 @@
 #ifndef VCB_SIM_MICROOP_H
 #define VCB_SIM_MICROOP_H
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -82,13 +81,10 @@ enum class MOp : uint16_t
     /** Fused compare+branch family: r[a] = (r[b] <op> r[c]); branch to
      *  d when the result equals aux (the branch sense).  One micro-op
      *  per comparison so the executor needs no inner dispatch; order
-     *  matches the BinKind comparison block. */
+     *  matches the spirv compares Op::IEq..Op::FGe. */
     CmpBrIEq, CmpBrINe, CmpBrILt, CmpBrILe, CmpBrIGt, CmpBrIGe,
     CmpBrULt, CmpBrUGe,
     CmpBrFEq, CmpBrFNe, CmpBrFLt, CmpBrFLe, CmpBrFGt, CmpBrFGe,
-    /** Fused constant+ALU: r[a] = b; r[c] = bin(aux.kind, r[d], r[e]).
-     *  The const dst is still written (it may be read downstream). */
-    ConstAlu,
     /** Fused address+load: t = r[b] + r[c]; r[a] = t;
      *  r[d] = buf[aux][t]; site slot e. */
     IAddLd,
@@ -112,20 +108,10 @@ enum class MOp : uint16_t
     MulAddLdSh,
     /** As MulAddLdSh but storing: shared[t2] = r[aux]. */
     MulAddStSh,
-    /** Fused float pairs: t = r[b] <op1> r[c]; r[a] = t;
-     *  r[d] = aux&1 ? t <op2> r[e] : r[e] <op2> t.  Operand order is
-     *  preserved exactly (FP NaN payloads are not swap-safe). */
+    /** Fused float multiply-add: t = r[b] * r[c]; r[a] = t;
+     *  r[d] = aux&1 ? t + r[e] : r[e] + t.  Operand order is preserved
+     *  exactly (FP NaN payloads are not swap-safe). */
     FMulFAdd,
-    FMulFSub,
-    /** Fused shared-load + float op: v = shared[r[b]]; r[a] = v;
-     *  r[d] = aux&1 ? v <op> r[e] : r[e] <op> v. */
-    LdShFMul,
-    LdShFSub,
-    LdShFDiv,
-    /** Fused float op + shared store: t = r[b] <op> r[c]; r[a] = t;
-     *  shared[r[d]] = t. */
-    FSubStSh,
-    FDivStSh,
     /** Fused divide+remainder on identical operands (one host
      *  division): r[a] = r[b] / r[c]; r[d] = r[b] % r[c]. */
     IDivRem,
@@ -147,16 +133,6 @@ enum class MOp : uint16_t
 
     Barrier,
     Ret,
-    Count
-};
-
-/** Binary-operation kinds shared by CmpBr and ConstAlu (see evalBin). */
-enum class BinKind : uint8_t
-{
-    IAdd, ISub, IMul, IMin, IMax, IAnd, IOr, IXor, IShl, IShrU, IShrS,
-    FAdd, FSub, FMul, FDiv, FMin, FMax,
-    IEq, INe, ILt, ILe, IGt, IGe, ULt, UGe,
-    FEq, FNe, FLt, FLe, FGt, FGe,
     Count
 };
 
@@ -237,8 +213,7 @@ const char *superKindName(SuperKind kind);
 struct MicroOp
 {
     MOp op = MOp::Ret;
-    /** CmpBr*: branch sense (0/1); ConstAlu: BinKind;
-     *  IAddLd/IAddSt: buffer binding;
+    /** CmpBr*: branch sense (0/1); IAddLd/IAddSt: buffer binding;
      *  MulAddLdSh/MulAddStSh: load dst / store src register;
      *  LdBuiltin: spirv::Builtin code. */
     uint16_t aux = 0;
@@ -281,9 +256,6 @@ struct MicroKernel
      *  is read on all paths, so the per-workgroup register zero-fill
      *  is unobservable and may be skipped. */
     bool skipRegZeroInit = false;
-    /** Kernel contains at least one Barrier: barrier-free kernels take
-     *  a leaner workgroup loop (no per-lane pc/state bookkeeping). */
-    bool hasBarrier = false;
     /** Any control transfer (Jmp/BrTrue/BrFalse/CmpBr*): kernels
      *  without one are straight-line and eligible for the trace tier. */
     bool hasBranches = false;
@@ -300,21 +272,14 @@ struct MicroKernel
  *  to assert fused/unfused equivalence. */
 struct LowerOptions
 {
-    bool fuseCmpBranch = true;
-    bool fuseConstAlu = true;
-    /** Adds feeding memory addresses (IAddLd/IAddSt/IAddLdSh/IAddStSh;
-     *  with fuseMulAdd also the MulAdd{Ld,St}Sh triples). */
-    bool fuseAddrMem = true;
-    /** Integer ALU pairs (IMulAdd/IAddAdd, the indexing idiom). */
-    bool fuseMulAdd = true;
-    /** Straight-line runs into templated superops (MOp::Super); also
-     *  gated at run time by setSuperopsEnabled(). */
+    /** Adjacent instruction pairs and triples into fused micro-ops
+     *  (the CmpBr* block and IAddLd through IDivRem). */
+    bool fusePairs = true;
+    /** Straight-line runs into templated superops (MOp::Super) and
+     *  counted loops around them (MOp::SuperLoop). */
     bool fuseSuperops = true;
 
-    static LowerOptions noFusion()
-    {
-        return {false, false, false, false, false};
-    }
+    static LowerOptions noFusion() { return {false, false}; }
 };
 
 /** Populate k.micro from k.insns/k.siteOfInsn.  The module must have
@@ -340,15 +305,6 @@ ExecTier chooseExecTier(const MicroKernel &mk);
  *  (a forced Trace degrades to Block when the body is not
  *  straight-line). */
 ExecTier effectiveExecTier(const MicroKernel &mk);
-
-/** Run-time gate for superop formation (on unless
- *  setSuperopsEnabled(0)).  Checked by lowerKernel on top of
- *  LowerOptions::fuseSuperops. */
-bool superopsEnabled();
-
-/** Force superop formation on (1) / off (0), or back to the default,
- *  on (-1).  Test hook, like setExecutorOverride(). */
-void setSuperopsEnabled(int enabled);
 
 /** The options compileKernel lowers with (default-constructed unless
  *  set).  The compile-cache key folds them in, so programs lowered
@@ -386,53 +342,6 @@ inline int32_t
 bitsToS(uint32_t v)
 {
     return static_cast<int32_t>(v);
-}
-
-/** Evaluate a BinKind over two register words — bit-identical to the
- *  corresponding interpreter cases. */
-inline uint32_t
-evalBin(BinKind kind, uint32_t x, uint32_t y)
-{
-    switch (kind) {
-      case BinKind::IAdd: return x + y;
-      case BinKind::ISub: return x - y;
-      case BinKind::IMul: return x * y;
-      case BinKind::IMin:
-        return static_cast<uint32_t>(std::min(bitsToS(x), bitsToS(y)));
-      case BinKind::IMax:
-        return static_cast<uint32_t>(std::max(bitsToS(x), bitsToS(y)));
-      case BinKind::IAnd: return x & y;
-      case BinKind::IOr:  return x | y;
-      case BinKind::IXor: return x ^ y;
-      case BinKind::IShl: return x << (y & 31);
-      case BinKind::IShrU: return x >> (y & 31);
-      case BinKind::IShrS:
-        return static_cast<uint32_t>(bitsToS(x) >> (y & 31));
-      case BinKind::FAdd: return fToBits(bitsToF(x) + bitsToF(y));
-      case BinKind::FSub: return fToBits(bitsToF(x) - bitsToF(y));
-      case BinKind::FMul: return fToBits(bitsToF(x) * bitsToF(y));
-      case BinKind::FDiv: return fToBits(bitsToF(x) / bitsToF(y));
-      case BinKind::FMin:
-        return fToBits(std::fmin(bitsToF(x), bitsToF(y)));
-      case BinKind::FMax:
-        return fToBits(std::fmax(bitsToF(x), bitsToF(y)));
-      case BinKind::IEq: return x == y;
-      case BinKind::INe: return x != y;
-      case BinKind::ILt: return bitsToS(x) < bitsToS(y);
-      case BinKind::ILe: return bitsToS(x) <= bitsToS(y);
-      case BinKind::IGt: return bitsToS(x) > bitsToS(y);
-      case BinKind::IGe: return bitsToS(x) >= bitsToS(y);
-      case BinKind::ULt: return x < y;
-      case BinKind::UGe: return x >= y;
-      case BinKind::FEq: return bitsToF(x) == bitsToF(y);
-      case BinKind::FNe: return bitsToF(x) != bitsToF(y);
-      case BinKind::FLt: return bitsToF(x) < bitsToF(y);
-      case BinKind::FLe: return bitsToF(x) <= bitsToF(y);
-      case BinKind::FGt: return bitsToF(x) > bitsToF(y);
-      case BinKind::FGe: return bitsToF(x) >= bitsToF(y);
-      case BinKind::Count: break;
-    }
-    return 0;
 }
 
 /** Signed 32-bit division of two register words.  SPIR-V leaves

@@ -256,7 +256,6 @@ struct KnobGuard
     ~KnobGuard()
     {
         sim::setExecutorOverride(sim::ExecTier::Count);
-        sim::setSuperopsEnabled(-1);
         sim::setCompileLowerOptions({});
     }
 };

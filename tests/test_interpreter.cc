@@ -445,8 +445,8 @@ TEST(Stats, LaneCyclesAndAccessesCounted)
 
 // --- micro-op lowering -----------------------------------------------------
 
-/** A kernel exercising every fusion family: compare+branch (loop),
- *  const+ALU, address+load/store, mul+add indexing, shared staging. */
+/** A kernel exercising the integer fusion families: compare+branch
+ *  (loop), address+load/store, mul+add indexing, shared staging. */
 spirv::Module
 fusionKernel()
 {
@@ -526,6 +526,50 @@ TEST(MicroOp, LoweringActuallyFuses)
 
     lowerKernel(*kernel, LowerOptions::noFusion());
     EXPECT_EQ(kernel->micro->fusedPairs, 0u);
+}
+
+/** Every micro-op the registry kernels lower to, fused or not, renders
+ *  with symbolic operands (not the generic "<name> a=… b=…" fallback),
+ *  and float compares carry no signed-integer "s" suffix. */
+TEST(MicroOp, DisassemblyRendersEveryRegistryOp)
+{
+    const DeviceSpec &dev = gtx1050ti();
+    uint32_t float_compares = 0;
+    for (const auto &[name, build] : kernels::kernelRegistry()) {
+        std::string err;
+        auto kernel = compileKernel(build(), dev, Api::Vulkan, &err);
+        ASSERT_NE(kernel, nullptr) << name << ": " << err;
+        for (const LowerOptions &opt :
+             {LowerOptions{}, LowerOptions{.fuseSuperops = false},
+              LowerOptions::noFusion()}) {
+            lowerKernel(*kernel, opt);
+            const MicroKernel &mk = *kernel->micro;
+            MicroKernel tmpl;
+            tmpl.ops = mk.templateOps;
+            const MicroKernel *const streams[] = {&mk, &tmpl};
+            for (const MicroKernel *stream : streams) {
+                for (uint32_t pc = 0; pc < stream->ops.size(); ++pc) {
+                    const MicroOp &o = stream->ops[pc];
+                    const std::string text = renderMicroOp(*stream, pc);
+                    EXPECT_EQ(text.find(" a="), std::string::npos)
+                        << name << " @" << pc << ": " << text;
+                    if (o.op < MOp::FEq || o.op > MOp::FGe)
+                        continue;
+                    static const char *const sym[] = {"==", "!=", "<",
+                                                      "<=", ">",  ">="};
+                    const std::string want =
+                        "r" + std::to_string(o.a) + " = r" +
+                        std::to_string(o.b) + " " +
+                        sym[static_cast<int>(o.op) -
+                            static_cast<int>(MOp::FEq)] +
+                        " r" + std::to_string(o.c);
+                    EXPECT_EQ(text, want) << name << " @" << pc;
+                    ++float_compares;
+                }
+            }
+        }
+    }
+    EXPECT_GT(float_compares, 0u);
 }
 
 TEST(MicroOp, RobustPathMatchesFastPath)
@@ -730,7 +774,6 @@ expectIdenticalCompiles(const CompiledKernel &a, const CompiledKernel &b,
     EXPECT_EQ(ma.costFrom, mb.costFrom) << what;
     EXPECT_EQ(ma.hoistedCost, mb.hoistedCost) << what;
     EXPECT_EQ(ma.skipRegZeroInit, mb.skipRegZeroInit) << what;
-    EXPECT_EQ(ma.hasBarrier, mb.hasBarrier) << what;
     EXPECT_EQ(ma.hasBranches, mb.hasBranches) << what;
     EXPECT_EQ(ma.hasAtomics, mb.hasAtomics) << what;
     EXPECT_EQ(ma.fusedPairs, mb.fusedPairs) << what;

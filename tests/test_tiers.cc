@@ -1,7 +1,7 @@
 /** @file Tier-equivalence: the executor tier and superop formation
  *  are host-speed knobs ONLY.  Every replay workload runs under each
  *  forced executor tier (setExecutorOverride) and with superops
- *  disabled (setSuperopsEnabled), demanding bit-identical host arrays,
+ *  disabled (setCompileLowerOptions), demanding bit-identical host arrays,
  *  per-dispatch DispatchStats and simulated kernelNs against the
  *  auto-tier reference run — including the divergence-heavy workloads
  *  whose mid-phase branches exercise the block tier's
@@ -98,18 +98,18 @@ TEST_P(TierEquivalence, SuperopsAreBitInvisible)
     const sim::DeviceSpec &dev = sim::gtx1050ti();
     KnobGuard guard;
 
-    sim::setSuperopsEnabled(1);
+    sim::setCompileLowerOptions({});
     Replay ref = replay(w, dev, sim::Api::Vulkan);
     ASSERT_TRUE(ref.result.ok) << ref.result.skipReason;
 
-    sim::setSuperopsEnabled(0);
+    sim::setCompileLowerOptions({.fuseSuperops = false});
     Replay plain = replay(w, dev, sim::Api::Vulkan);
     expectSameReplay(ref, plain, w.name + " with superops disabled");
 
     // Superops with the lane-major executor forced: the scalar
     // per-lane Super/SuperLoop handlers must agree with the plain
     // stream too (the vector handlers are covered above).
-    sim::setSuperopsEnabled(1);
+    sim::setCompileLowerOptions({});
     sim::setExecutorOverride(sim::ExecTier::LaneMajor);
     Replay lane = replay(w, dev, sim::Api::Vulkan);
     expectSameReplay(ref, lane,
