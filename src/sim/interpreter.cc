@@ -13,13 +13,31 @@ namespace {
 
 /**
  * Evaluate one hoisted template op (see MicroKernel::templateOps) on
- * the template register file.  Expressions mirror the interpreter
- * handlers exactly so hoisting is bit-invisible.
+ * the template register file.  Pure ops come from microop.h's op list,
+ * as in the executors, so hoisting is bit-invisible.
  */
 void
 evalTemplateOp(const MicroOp &op, uint32_t *r, const DispatchContext &ctx,
                const spirv::Module &m)
 {
+#define VCB_TMPL1(name, expr)                                             \
+    case MOp::name: {                                                     \
+        const uint32_t x = r[op.b];                                       \
+        r[op.a] = (expr);                                                 \
+        break;                                                            \
+    }
+#define VCB_TMPL2(name, expr)                                             \
+    case MOp::name: {                                                     \
+        const uint32_t x = r[op.b], y = r[op.c];                          \
+        r[op.a] = (expr);                                                 \
+        break;                                                            \
+    }
+#define VCB_TMPL3(name, expr)                                             \
+    case MOp::name: {                                                     \
+        const uint32_t x = r[op.b], y = r[op.c], z = r[op.d];             \
+        r[op.a] = (expr);                                                 \
+        break;                                                            \
+    }
     switch (op.op) {
       case MOp::Const: r[op.a] = op.b; break;
       case MOp::Mov: r[op.a] = r[op.b]; break;
@@ -49,88 +67,7 @@ evalTemplateOp(const MicroOp &op, uint32_t *r, const DispatchContext &ctx,
         r[op.a] = v;
         break;
       }
-      case MOp::INot: r[op.a] = ~r[op.b]; break;
-      case MOp::INeg: r[op.a] = 0u - r[op.b]; break;
-      case MOp::FAbs: r[op.a] = fToBits(std::fabs(bitsToF(r[op.b]))); break;
-      case MOp::FNeg: r[op.a] = fToBits(-bitsToF(r[op.b])); break;
-      case MOp::FSqrt:
-        r[op.a] = fToBits(std::sqrt(bitsToF(r[op.b])));
-        break;
-      case MOp::FExp: r[op.a] = fToBits(std::exp(bitsToF(r[op.b]))); break;
-      case MOp::FLog: r[op.a] = fToBits(std::log(bitsToF(r[op.b]))); break;
-      case MOp::FFloor:
-        r[op.a] = fToBits(std::floor(bitsToF(r[op.b])));
-        break;
-      case MOp::FSin: r[op.a] = fToBits(std::sin(bitsToF(r[op.b]))); break;
-      case MOp::FCos: r[op.a] = fToBits(std::cos(bitsToF(r[op.b]))); break;
-      case MOp::FFma:
-        r[op.a] = fToBits(std::fma(bitsToF(r[op.b]), bitsToF(r[op.c]),
-                                   bitsToF(r[op.d])));
-        break;
-      case MOp::FPow:
-        r[op.a] = fToBits(std::pow(bitsToF(r[op.b]), bitsToF(r[op.c])));
-        break;
-      case MOp::CvtSF:
-        r[op.a] = fToBits(static_cast<float>(bitsToS(r[op.b])));
-        break;
-      case MOp::CvtFS:
-        r[op.a] =
-            static_cast<uint32_t>(static_cast<int32_t>(bitsToF(r[op.b])));
-        break;
-      case MOp::Select:
-        r[op.a] = r[op.b] ? r[op.c] : r[op.d];
-        break;
-      case MOp::IAdd: r[op.a] = r[op.b] + r[op.c]; break;
-      case MOp::ISub: r[op.a] = r[op.b] - r[op.c]; break;
-      case MOp::IMul: r[op.a] = r[op.b] * r[op.c]; break;
-      case MOp::IMin:
-        r[op.a] = static_cast<uint32_t>(
-            std::min(bitsToS(r[op.b]), bitsToS(r[op.c])));
-        break;
-      case MOp::IMax:
-        r[op.a] = static_cast<uint32_t>(
-            std::max(bitsToS(r[op.b]), bitsToS(r[op.c])));
-        break;
-      case MOp::IAnd: r[op.a] = r[op.b] & r[op.c]; break;
-      case MOp::IOr: r[op.a] = r[op.b] | r[op.c]; break;
-      case MOp::IXor: r[op.a] = r[op.b] ^ r[op.c]; break;
-      case MOp::IShl: r[op.a] = r[op.b] << (r[op.c] & 31); break;
-      case MOp::IShrU: r[op.a] = r[op.b] >> (r[op.c] & 31); break;
-      case MOp::IShrS:
-        r[op.a] = static_cast<uint32_t>(bitsToS(r[op.b]) >> (r[op.c] & 31));
-        break;
-      case MOp::FAdd:
-        r[op.a] = fToBits(bitsToF(r[op.b]) + bitsToF(r[op.c]));
-        break;
-      case MOp::FSub:
-        r[op.a] = fToBits(bitsToF(r[op.b]) - bitsToF(r[op.c]));
-        break;
-      case MOp::FMul:
-        r[op.a] = fToBits(bitsToF(r[op.b]) * bitsToF(r[op.c]));
-        break;
-      case MOp::FDiv:
-        r[op.a] = fToBits(bitsToF(r[op.b]) / bitsToF(r[op.c]));
-        break;
-      case MOp::FMin:
-        r[op.a] = fToBits(std::fmin(bitsToF(r[op.b]), bitsToF(r[op.c])));
-        break;
-      case MOp::FMax:
-        r[op.a] = fToBits(std::fmax(bitsToF(r[op.b]), bitsToF(r[op.c])));
-        break;
-      case MOp::IEq: r[op.a] = r[op.b] == r[op.c]; break;
-      case MOp::INe: r[op.a] = r[op.b] != r[op.c]; break;
-      case MOp::ILt: r[op.a] = bitsToS(r[op.b]) < bitsToS(r[op.c]); break;
-      case MOp::ILe: r[op.a] = bitsToS(r[op.b]) <= bitsToS(r[op.c]); break;
-      case MOp::IGt: r[op.a] = bitsToS(r[op.b]) > bitsToS(r[op.c]); break;
-      case MOp::IGe: r[op.a] = bitsToS(r[op.b]) >= bitsToS(r[op.c]); break;
-      case MOp::ULt: r[op.a] = r[op.b] < r[op.c]; break;
-      case MOp::UGe: r[op.a] = r[op.b] >= r[op.c]; break;
-      case MOp::FEq: r[op.a] = bitsToF(r[op.b]) == bitsToF(r[op.c]); break;
-      case MOp::FNe: r[op.a] = bitsToF(r[op.b]) != bitsToF(r[op.c]); break;
-      case MOp::FLt: r[op.a] = bitsToF(r[op.b]) < bitsToF(r[op.c]); break;
-      case MOp::FLe: r[op.a] = bitsToF(r[op.b]) <= bitsToF(r[op.c]); break;
-      case MOp::FGt: r[op.a] = bitsToF(r[op.b]) > bitsToF(r[op.c]); break;
-      case MOp::FGe: r[op.a] = bitsToF(r[op.b]) >= bitsToF(r[op.c]); break;
+      VCB_PURE_OPS(VCB_TMPL1, VCB_TMPL2, VCB_TMPL3)
       case MOp::IMulAdd: {
         uint32_t t = r[op.b] * r[op.c];
         r[op.a] = t;
@@ -146,6 +83,9 @@ evalTemplateOp(const MicroOp &op, uint32_t *r, const DispatchContext &ctx,
       default:
         panic("op %u is not template-pure", static_cast<unsigned>(op.op));
     }
+#undef VCB_TMPL1
+#undef VCB_TMPL2
+#undef VCB_TMPL3
 }
 
 } // namespace
@@ -294,11 +234,30 @@ Interpreter::runWorkgroup(uint32_t wx, uint32_t wy, uint32_t wz,
  *  the lane-major executor indexes column `lane` via this macro. */
 #define R(x) r[static_cast<size_t>(x) * lc]
 
-/** Fused compare+branch handler: write the flag, branch on sense. */
-#define VCB_CMPBR(name, expr)                                             \
+/** Pure-op handlers, one per arity, generated from microop.h's op
+ *  list. */
+#define VCB_LANE1(name, expr)                                             \
     VCB_OP(name) {                                                        \
         const uint32_t x = R(ip->b);                                      \
-        const uint32_t y = R(ip->c);                                      \
+        R(ip->a) = (expr);                                                \
+        NEXT;                                                             \
+    }
+#define VCB_LANE2(name, expr)                                             \
+    VCB_OP(name) {                                                        \
+        const uint32_t x = R(ip->b), y = R(ip->c);                        \
+        R(ip->a) = (expr);                                                \
+        NEXT;                                                             \
+    }
+#define VCB_LANE3(name, expr)                                             \
+    VCB_OP(name) {                                                        \
+        const uint32_t x = R(ip->b), y = R(ip->c), z = R(ip->d);          \
+        R(ip->a) = (expr);                                                \
+        NEXT;                                                             \
+    }
+/** Fused compare+branch handler: write the flag, branch on sense. */
+#define VCB_CMPBR(name, expr)                                             \
+    VCB_OP(CmpBr##name) {                                                 \
+        const uint32_t x = R(ip->b), y = R(ip->c);                        \
         const uint32_t cond = (expr);                                     \
         R(ip->a) = cond;                                                  \
         XFER(cond == ip->aux ? ip->d : pcOf() + 1);                       \
@@ -422,9 +381,7 @@ VCB_OP(LdPush)
     R(ip->a) = ctx->push[ip->b];
     NEXT;
 
-VCB_OP(IAdd) R(ip->a) = R(ip->b) + R(ip->c); NEXT;
-VCB_OP(ISub) R(ip->a) = R(ip->b) - R(ip->c); NEXT;
-VCB_OP(IMul) R(ip->a) = R(ip->b) * R(ip->c); NEXT;
+VCB_PURE_OPS(VCB_LANE1, VCB_LANE2, VCB_LANE3)
 VCB_OP(IDiv)
     if (R(ip->c) == 0)
         panic("kernel '%s' @%u: integer division by zero",
@@ -436,74 +393,6 @@ VCB_OP(IRem)
         panic("kernel '%s' @%u: integer remainder by zero",
               k.module.name.c_str(), pcOf());
     R(ip->a) = sremWrap(R(ip->b), R(ip->c));
-    NEXT;
-VCB_OP(IMin)
-    R(ip->a) = static_cast<uint32_t>(
-        std::min(bitsToS(R(ip->b)), bitsToS(R(ip->c))));
-    NEXT;
-VCB_OP(IMax)
-    R(ip->a) = static_cast<uint32_t>(
-        std::max(bitsToS(R(ip->b)), bitsToS(R(ip->c))));
-    NEXT;
-VCB_OP(IAnd) R(ip->a) = R(ip->b) & R(ip->c); NEXT;
-VCB_OP(IOr)  R(ip->a) = R(ip->b) | R(ip->c); NEXT;
-VCB_OP(IXor) R(ip->a) = R(ip->b) ^ R(ip->c); NEXT;
-VCB_OP(INot) R(ip->a) = ~R(ip->b); NEXT;
-VCB_OP(INeg) R(ip->a) = 0u - R(ip->b); NEXT;
-VCB_OP(IShl) R(ip->a) = R(ip->b) << (R(ip->c) & 31); NEXT;
-VCB_OP(IShrU) R(ip->a) = R(ip->b) >> (R(ip->c) & 31); NEXT;
-VCB_OP(IShrS)
-    R(ip->a) =
-        static_cast<uint32_t>(bitsToS(R(ip->b)) >> (R(ip->c) & 31));
-    NEXT;
-
-VCB_OP(FAdd) R(ip->a) = fToBits(bitsToF(R(ip->b)) + bitsToF(R(ip->c))); NEXT;
-VCB_OP(FSub) R(ip->a) = fToBits(bitsToF(R(ip->b)) - bitsToF(R(ip->c))); NEXT;
-VCB_OP(FMul) R(ip->a) = fToBits(bitsToF(R(ip->b)) * bitsToF(R(ip->c))); NEXT;
-VCB_OP(FDiv) R(ip->a) = fToBits(bitsToF(R(ip->b)) / bitsToF(R(ip->c))); NEXT;
-VCB_OP(FMin)
-    R(ip->a) = fToBits(std::fmin(bitsToF(R(ip->b)), bitsToF(R(ip->c))));
-    NEXT;
-VCB_OP(FMax)
-    R(ip->a) = fToBits(std::fmax(bitsToF(R(ip->b)), bitsToF(R(ip->c))));
-    NEXT;
-VCB_OP(FAbs) R(ip->a) = fToBits(std::fabs(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FNeg) R(ip->a) = fToBits(-bitsToF(R(ip->b))); NEXT;
-VCB_OP(FSqrt) R(ip->a) = fToBits(std::sqrt(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FExp) R(ip->a) = fToBits(std::exp(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FLog) R(ip->a) = fToBits(std::log(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FFloor) R(ip->a) = fToBits(std::floor(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FSin) R(ip->a) = fToBits(std::sin(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FCos) R(ip->a) = fToBits(std::cos(bitsToF(R(ip->b)))); NEXT;
-VCB_OP(FFma)
-    R(ip->a) = fToBits(
-        std::fma(bitsToF(R(ip->b)), bitsToF(R(ip->c)), bitsToF(R(ip->d))));
-    NEXT;
-VCB_OP(FPow)
-    R(ip->a) = fToBits(std::pow(bitsToF(R(ip->b)), bitsToF(R(ip->c))));
-    NEXT;
-
-VCB_OP(CvtSF) R(ip->a) = fToBits(static_cast<float>(bitsToS(R(ip->b)))); NEXT;
-VCB_OP(CvtFS)
-    R(ip->a) = static_cast<uint32_t>(static_cast<int32_t>(bitsToF(R(ip->b))));
-    NEXT;
-
-VCB_OP(IEq) R(ip->a) = R(ip->b) == R(ip->c); NEXT;
-VCB_OP(INe) R(ip->a) = R(ip->b) != R(ip->c); NEXT;
-VCB_OP(ILt) R(ip->a) = bitsToS(R(ip->b)) < bitsToS(R(ip->c)); NEXT;
-VCB_OP(ILe) R(ip->a) = bitsToS(R(ip->b)) <= bitsToS(R(ip->c)); NEXT;
-VCB_OP(IGt) R(ip->a) = bitsToS(R(ip->b)) > bitsToS(R(ip->c)); NEXT;
-VCB_OP(IGe) R(ip->a) = bitsToS(R(ip->b)) >= bitsToS(R(ip->c)); NEXT;
-VCB_OP(ULt) R(ip->a) = R(ip->b) < R(ip->c); NEXT;
-VCB_OP(UGe) R(ip->a) = R(ip->b) >= R(ip->c); NEXT;
-VCB_OP(FEq) R(ip->a) = bitsToF(R(ip->b)) == bitsToF(R(ip->c)); NEXT;
-VCB_OP(FNe) R(ip->a) = bitsToF(R(ip->b)) != bitsToF(R(ip->c)); NEXT;
-VCB_OP(FLt) R(ip->a) = bitsToF(R(ip->b)) < bitsToF(R(ip->c)); NEXT;
-VCB_OP(FLe) R(ip->a) = bitsToF(R(ip->b)) <= bitsToF(R(ip->c)); NEXT;
-VCB_OP(FGt) R(ip->a) = bitsToF(R(ip->b)) > bitsToF(R(ip->c)); NEXT;
-VCB_OP(FGe) R(ip->a) = bitsToF(R(ip->b)) >= bitsToF(R(ip->c)); NEXT;
-VCB_OP(Select)
-    R(ip->a) = R(ip->b) ? R(ip->c) : R(ip->d);
     NEXT;
 
 VCB_OP(LdBuf) {
@@ -582,20 +471,7 @@ VCB_OP(BrTrue)
 VCB_OP(BrFalse)
     XFER(!R(ip->a) ? ip->b : pcOf() + 1);
 
-VCB_CMPBR(CmpBrIEq, x == y)
-VCB_CMPBR(CmpBrINe, x != y)
-VCB_CMPBR(CmpBrILt, bitsToS(x) < bitsToS(y))
-VCB_CMPBR(CmpBrILe, bitsToS(x) <= bitsToS(y))
-VCB_CMPBR(CmpBrIGt, bitsToS(x) > bitsToS(y))
-VCB_CMPBR(CmpBrIGe, bitsToS(x) >= bitsToS(y))
-VCB_CMPBR(CmpBrULt, x < y)
-VCB_CMPBR(CmpBrUGe, x >= y)
-VCB_CMPBR(CmpBrFEq, bitsToF(x) == bitsToF(y))
-VCB_CMPBR(CmpBrFNe, bitsToF(x) != bitsToF(y))
-VCB_CMPBR(CmpBrFLt, bitsToF(x) < bitsToF(y))
-VCB_CMPBR(CmpBrFLe, bitsToF(x) <= bitsToF(y))
-VCB_CMPBR(CmpBrFGt, bitsToF(x) > bitsToF(y))
-VCB_CMPBR(CmpBrFGe, bitsToF(x) >= bitsToF(y))
+VCB_COMPARE_OPS(VCB_CMPBR)
 
 VCB_OP(IAddLd) {
     uint32_t addr = R(ip->b) + R(ip->c);
@@ -697,68 +573,17 @@ VCB_OP(IDivRem) {
     NEXT;
 }
 
-VCB_OP(Super) {
-    // One fused straight-line run (see SuperKind in microop.h).  The
-    // recognizer proved the run's scratch registers dead outside it,
-    // so intermediates stay in locals; resolve() keeps per-access
-    // sampling, robust clamping and site counts exactly as the
-    // unfused op sequence produced them.
-    const SuperOp &sup = mk.supers[ip->aux];
-    switch (sup.kind) {
-      case SuperKind::SqDistStep: {
-        const uint32_t a1 = R(sup.r[0]) * R(sup.r[1]) + R(sup.r[2]);
-        const uint32_t xv =
-            std::atomic_ref<uint32_t>(*resolve(sup.buf[0], a1,
-                                               sup.site[0]))
-                .load(std::memory_order_relaxed);
-        const uint32_t a2 = R(sup.r[3]) + R(sup.r[4]);
-        const uint32_t yv =
-            std::atomic_ref<uint32_t>(*resolve(sup.buf[1], a2,
-                                               sup.site[1]))
-                .load(std::memory_order_relaxed);
-        const float d = bitsToF(xv) - bitsToF(yv);
-        const float t = d * d;
-        const float z = bitsToF(R(sup.r[5]));
-        R(sup.r[5]) = fToBits(sup.aux & 1 ? t + z : z + t);
-        R(sup.r[6]) = R(sup.r[7]) + R(sup.r[8]);
-        break;
-      }
-      case SuperKind::ShDotStep: {
-        const uint32_t a1 = R(sup.r[0]) * R(sup.r[1]) + R(sup.r[2]);
-        VCB_ASSERT(a1 < shared_words,
-                   "kernel '%s' @%u: shared load [%u] out of bounds "
-                   "(%llu words)",
-                   k.module.name.c_str(), pcOf(), a1,
-                   (unsigned long long)shared_words);
-        const uint32_t v1 = sh[a1];
-        const uint32_t a2 =
-            R(sup.r[6]) + (R(sup.r[3]) * R(sup.r[4]) + R(sup.r[5]));
-        VCB_ASSERT(a2 < shared_words,
-                   "kernel '%s' @%u: shared load [%u] out of bounds "
-                   "(%llu words)",
-                   k.module.name.c_str(), pcOf(), a2,
-                   (unsigned long long)shared_words);
-        const uint32_t v2 = sh[a2];
-        R(sup.r[8]) = fToBits(
-            std::fma(bitsToF(v1), bitsToF(v2), bitsToF(R(sup.r[7]))));
-        R(sup.r[9]) = R(sup.r[10]) + R(sup.r[11]);
-        ws.sharedAccesses += 2;
-        break;
-      }
-      case SuperKind::Count:
-        break;
-    }
-    NEXT;
-}
-
 VCB_OP(SuperLoop) {
-    // Fused counted loop (lowering pass 3.6): run to completion for
-    // this lane.  Each iteration charges headCost + bodyCost — the
-    // exact costFrom charges the unfused CmpBr/body/Jmp stream pays
-    // per trip around the back edge — and the head's flag register
-    // receives the final (failing) test's value before the transfer
-    // to the exit pc.  The access order per lane is unchanged, so
-    // sampling, robust clamping and site counts stay exact.
+    // Fused counted loop (lowering pass 3.5): run to completion for
+    // this lane.  The body is a SuperKind template whose scratch
+    // registers the recognizer proved dead outside it, so
+    // intermediates stay in locals.  Each iteration charges headCost +
+    // bodyCost — the exact costFrom charges the unfused CmpBr/body/Jmp
+    // stream pays per trip around the back edge — and the head's flag
+    // register receives the final (failing) test's 0 before the
+    // transfer to the exit pc.  The access order per lane is
+    // unchanged, so resolve() keeps sampling, robust clamping and site
+    // counts exact.
     const SuperOp &sup = mk.supers[ip->aux];
     uint64_t iters = 0;
     while (bitsToS(R(sup.loopB)) < bitsToS(R(sup.loopC))) {
@@ -811,7 +636,7 @@ VCB_OP(SuperLoop) {
         }
     }
     cycles += iters * (sup.headCost + sup.bodyCost);
-    R(sup.loopFlag) = sup.loopAux;
+    R(sup.loopFlag) = 0;
     XFER(sup.exitPc);
 }
 VCB_OP(Barrier)
@@ -838,6 +663,9 @@ lane_done:
     barrier_out += at_barrier;
 }
 
+#undef VCB_LANE1
+#undef VCB_LANE2
+#undef VCB_LANE3
 #undef VCB_CMPBR
 #undef VCB_OP
 #undef NEXT
@@ -896,14 +724,13 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
     // exactly, so register aliasing between the distilled operands
     // (e.g. the loop counter read early and incremented last) keeps
     // per-lane semantics; lanes are independent, so fusing the whole
-    // run per lane is unobservable.
+    // body per lane is unobservable.
     //
-    // Loop records (sup.loop) run the counted loop to completion
-    // ITERATION-major: per trip, every still-active lane executes the
-    // body before any lane advances — the lane-contiguous memory
-    // order of the op-major executor, which is what keeps strided
-    // per-lane walks (kmeans reads column gid of a 64K-point matrix)
-    // cache-friendly.  The bodies only load from global/shared
+    // The counted loop runs to completion ITERATION-major: per trip,
+    // every still-active lane executes the body before any lane
+    // advances — the lane-contiguous memory order of the op-major
+    // executor, which is what keeps strided per-lane walks (kmeans
+    // reads column gid of a 64K-point matrix) cache-friendly.  The bodies only load from global/shared
     // memory, so the order difference from the lane-major reference
     // is unobservable; a lane whose condition fails stops updating
     // its own registers, so exited lanes stay exited.  The caller
@@ -965,15 +792,6 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
             smp->record(lane_begin + l, sup.site[1],
                         uint64_t(AB[l] + AC[l]) * 4);
         };
-        if (!sup.loop) {
-            if (smp)
-                sampleAll();
-            for (uint32_t l = 0; l < n; ++l)
-                body(l);
-            site_exec[sup.site[0]] += n;
-            site_exec[sup.site[1]] += n;
-            break;
-        }
         const uint32_t *const LB = V(sup.loopB);
         const uint32_t *const LC = V(sup.loopC);
         uint32_t *const FL = V(sup.loopFlag);
@@ -1000,8 +818,7 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
             }
             total += active;
         }
-        for (uint32_t l = 0; l < n; ++l)
-            FL[l] = sup.loopAux;
+        std::fill_n(FL, n, 0u);
         site_exec[sup.site[0]] += total;
         site_exec[sup.site[1]] += total;
         ws.laneCycles += total * (sup.headCost + sup.bodyCost);
@@ -1039,12 +856,6 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
                 std::fma(bitsToF(v1), bitsToF(v2), bitsToF(ZD[l])));
             IA[l] = NB[l] + NC[l];
         };
-        if (!sup.loop) {
-            for (uint32_t l = 0; l < n; ++l)
-                body(l);
-            ws.sharedAccesses += 2ull * n;
-            break;
-        }
         const uint32_t *const LB = V(sup.loopB);
         const uint32_t *const LC = V(sup.loopC);
         uint32_t *const FL = V(sup.loopFlag);
@@ -1065,8 +876,7 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
             }
             total += active;
         }
-        for (uint32_t l = 0; l < n; ++l)
-            FL[l] = sup.loopAux;
+        std::fill_n(FL, n, 0u);
         ws.sharedAccesses += 2ull * total;
         ws.laneCycles += total * (sup.headCost + sup.bodyCost);
         break;
@@ -1079,32 +889,49 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
 /** Lane vector of register x: the span's n contiguous lanes (rb points
  *  at the span's first-lane column of the reg-major file). */
 #define V(x) (rb + static_cast<size_t>(x) * lc)
-/** Element-wise binary op over the span.  A may alias B/C only exactly
- *  (vector offsets are multiples of lc), which keeps the per-lane
- *  semantics of the lane-major path. */
+/** Element-wise pure ops over the span, one per arity, generated from
+ *  microop.h's op list.  A may alias B/C/D only exactly (vector
+ *  offsets are multiples of lc), which keeps the per-lane semantics of
+ *  the lane-major path. */
+#define VUN(name, expr)                                                   \
+    case MOp::name: {                                                     \
+        uint32_t *const A = V(in.a);                                      \
+        const uint32_t *const B = V(in.b);                                \
+        for (size_t l = 0; l < n; ++l) {                                  \
+            const uint32_t x = B[l];                                      \
+            A[l] = (expr);                                                \
+        }                                                                 \
+        break;                                                            \
+    }
 #define VBIN(name, expr)                                                  \
     case MOp::name: {                                                     \
         uint32_t *const A = V(in.a);                                      \
         const uint32_t *const B = V(in.b);                                \
         const uint32_t *const C = V(in.c);                                \
-        for (size_t l = 0; l < n; ++l)                                    \
+        for (size_t l = 0; l < n; ++l) {                                  \
+            const uint32_t x = B[l], y = C[l];                            \
             A[l] = (expr);                                                \
+        }                                                                 \
         break;                                                            \
     }
-#define VUN(name, expr)                                                   \
+#define VTER(name, expr)                                                  \
     case MOp::name: {                                                     \
         uint32_t *const A = V(in.a);                                      \
         const uint32_t *const B = V(in.b);                                \
-        for (size_t l = 0; l < n; ++l)                                    \
+        const uint32_t *const C = V(in.c);                                \
+        const uint32_t *const D = V(in.d);                                \
+        for (size_t l = 0; l < n; ++l) {                                  \
+            const uint32_t x = B[l], y = C[l], z = D[l];                  \
             A[l] = (expr);                                                \
+        }                                                                 \
         break;                                                            \
     }
 /** Fused compare+branch: flags written per lane, then the uniform /
  *  divergent decision.  Divergence writes every span lane's resume pc
  *  and splits.  The trace tier is only selected for branch-free
  *  kernels, so there the whole handler compiles down to a guard. */
-#define VCMPBR(mop, expr)                                                 \
-    case MOp::mop: {                                                      \
+#define VCMPBR(cmp, expr)                                                 \
+    case MOp::CmpBr##cmp: {                                               \
         if constexpr (TraceTier) {                                        \
             panic("kernel '%s' @%u: branch reached the trace tier",       \
                   k.module.name.c_str(), pc);                             \
@@ -1337,9 +1164,7 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
             std::fill_n(V(in.a), n, ctx->push[in.b]);
             break;
 
-          VBIN(IAdd, B[l] + C[l])
-          VBIN(ISub, B[l] - C[l])
-          VBIN(IMul, B[l] * C[l])
+          VCB_PURE_OPS(VUN, VBIN, VTER)
           case MOp::IDiv: {
             uint32_t *const A = V(in.a);
             const uint32_t *const B = V(in.b);
@@ -1362,72 +1187,6 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
                           k.module.name.c_str(), pc);
                 A[l] = sremWrap(B[l], C[l]);
             }
-            break;
-          }
-          VBIN(IMin, static_cast<uint32_t>(
-                         std::min(bitsToS(B[l]), bitsToS(C[l]))))
-          VBIN(IMax, static_cast<uint32_t>(
-                         std::max(bitsToS(B[l]), bitsToS(C[l]))))
-          VBIN(IAnd, B[l] & C[l])
-          VBIN(IOr, B[l] | C[l])
-          VBIN(IXor, B[l] ^ C[l])
-          VUN(INot, ~B[l])
-          VUN(INeg, 0u - B[l])
-          VBIN(IShl, B[l] << (C[l] & 31))
-          VBIN(IShrU, B[l] >> (C[l] & 31))
-          VBIN(IShrS,
-               static_cast<uint32_t>(bitsToS(B[l]) >> (C[l] & 31)))
-
-          VBIN(FAdd, fToBits(bitsToF(B[l]) + bitsToF(C[l])))
-          VBIN(FSub, fToBits(bitsToF(B[l]) - bitsToF(C[l])))
-          VBIN(FMul, fToBits(bitsToF(B[l]) * bitsToF(C[l])))
-          VBIN(FDiv, fToBits(bitsToF(B[l]) / bitsToF(C[l])))
-          VBIN(FMin, fToBits(std::fmin(bitsToF(B[l]), bitsToF(C[l]))))
-          VBIN(FMax, fToBits(std::fmax(bitsToF(B[l]), bitsToF(C[l]))))
-          VUN(FAbs, fToBits(std::fabs(bitsToF(B[l]))))
-          VUN(FNeg, fToBits(-bitsToF(B[l])))
-          VUN(FSqrt, fToBits(std::sqrt(bitsToF(B[l]))))
-          VUN(FExp, fToBits(std::exp(bitsToF(B[l]))))
-          VUN(FLog, fToBits(std::log(bitsToF(B[l]))))
-          VUN(FFloor, fToBits(std::floor(bitsToF(B[l]))))
-          VUN(FSin, fToBits(std::sin(bitsToF(B[l]))))
-          VUN(FCos, fToBits(std::cos(bitsToF(B[l]))))
-          case MOp::FFma: {
-            uint32_t *const A = V(in.a);
-            const uint32_t *const B = V(in.b);
-            const uint32_t *const C = V(in.c);
-            const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < n; ++l)
-                A[l] = fToBits(std::fma(bitsToF(B[l]), bitsToF(C[l]),
-                                        bitsToF(D[l])));
-            break;
-          }
-          VBIN(FPow, fToBits(std::pow(bitsToF(B[l]), bitsToF(C[l]))))
-          VUN(CvtSF, fToBits(static_cast<float>(bitsToS(B[l]))))
-          VUN(CvtFS, static_cast<uint32_t>(
-                         static_cast<int32_t>(bitsToF(B[l]))))
-
-          VBIN(IEq, B[l] == C[l])
-          VBIN(INe, B[l] != C[l])
-          VBIN(ILt, bitsToS(B[l]) < bitsToS(C[l]))
-          VBIN(ILe, bitsToS(B[l]) <= bitsToS(C[l]))
-          VBIN(IGt, bitsToS(B[l]) > bitsToS(C[l]))
-          VBIN(IGe, bitsToS(B[l]) >= bitsToS(C[l]))
-          VBIN(ULt, B[l] < C[l])
-          VBIN(UGe, B[l] >= C[l])
-          VBIN(FEq, bitsToF(B[l]) == bitsToF(C[l]))
-          VBIN(FNe, bitsToF(B[l]) != bitsToF(C[l]))
-          VBIN(FLt, bitsToF(B[l]) < bitsToF(C[l]))
-          VBIN(FLe, bitsToF(B[l]) <= bitsToF(C[l]))
-          VBIN(FGt, bitsToF(B[l]) > bitsToF(C[l]))
-          VBIN(FGe, bitsToF(B[l]) >= bitsToF(C[l]))
-          case MOp::Select: {
-            uint32_t *const A = V(in.a);
-            const uint32_t *const B = V(in.b);
-            const uint32_t *const C = V(in.c);
-            const uint32_t *const D = V(in.d);
-            for (size_t l = 0; l < n; ++l)
-                A[l] = B[l] ? C[l] : D[l];
             break;
           }
 
@@ -1622,12 +1381,6 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
             break;
           }
 
-          case MOp::Super:
-            // One fused run over the span's lanes instead of six
-            // per-op passes over the lane vectors.
-            execSuper(mk.supers[in.aux], pc, base,
-                      base + static_cast<uint32_t>(n), ws);
-            break;
           case MOp::SuperLoop: {
             // Fused counted loop: per-lane trip counts never surface
             // as divergence because every lane reconverges at the exit
@@ -1672,20 +1425,7 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
             }
           }
 
-          VCMPBR(CmpBrIEq, x == y)
-          VCMPBR(CmpBrINe, x != y)
-          VCMPBR(CmpBrILt, bitsToS(x) < bitsToS(y))
-          VCMPBR(CmpBrILe, bitsToS(x) <= bitsToS(y))
-          VCMPBR(CmpBrIGt, bitsToS(x) > bitsToS(y))
-          VCMPBR(CmpBrIGe, bitsToS(x) >= bitsToS(y))
-          VCMPBR(CmpBrULt, x < y)
-          VCMPBR(CmpBrUGe, x >= y)
-          VCMPBR(CmpBrFEq, bitsToF(x) == bitsToF(y))
-          VCMPBR(CmpBrFNe, bitsToF(x) != bitsToF(y))
-          VCMPBR(CmpBrFLt, bitsToF(x) < bitsToF(y))
-          VCMPBR(CmpBrFLe, bitsToF(x) <= bitsToF(y))
-          VCMPBR(CmpBrFGt, bitsToF(x) > bitsToF(y))
-          VCMPBR(CmpBrFGe, bitsToF(x) >= bitsToF(y))
+          VCB_COMPARE_OPS(VCMPBR)
 
           case MOp::Barrier:
             std::fill_n(span_pcs, n, pc + 1);
@@ -1712,8 +1452,9 @@ Interpreter::runSpan(uint32_t base, uint32_t start_pc, uint32_t wx,
 }
 
 #undef V
-#undef VBIN
 #undef VUN
+#undef VBIN
+#undef VTER
 #undef VCMPBR
 
 void

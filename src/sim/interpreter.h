@@ -156,13 +156,14 @@ class Interpreter
                         uint32_t &barrier_out);
 
     /**
-     * Execute one superop (see SuperKind in microop.h) over lanes
-     * [lane_begin, lane_end) as a fused per-lane loop: the run's
-     * intermediates stay in host registers instead of round-tripping
-     * through the lane register file.  Used by the op-major
-     * executor, recording a sampled workgroup's loads into
+     * Execute one SuperLoop (see SuperOp in microop.h) over lanes
+     * [lane_begin, lane_end) to completion, iteration-major: the
+     * body's intermediates stay in host registers instead of
+     * round-tripping through the lane register file.  Used by the
+     * op-major executor, recording a sampled workgroup's loads into
      * `sampling`; the lane-major executors run the scalar per-lane
-     * case inline (which also handles sampling and robust clamping).
+     * loop inline (which also handles sampling and robust clamping).
+     * The caller performs the transfer to the exit pc.
      */
     void execSuper(const SuperOp &sup, uint32_t pc, uint32_t lane_begin,
                    uint32_t lane_end, WorkgroupStats &ws);

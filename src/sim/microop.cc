@@ -60,6 +60,31 @@ isCmpBr(MOp op)
     return op >= MOp::CmpBrIEq && op <= MOp::CmpBrFGe;
 }
 
+/** The branch-target field of Jmp, BrTrue/BrFalse and CmpBr*, or null
+ *  for every other op (a SuperLoop's exit pc lives in its SuperOp).
+ *  Every scan and remap of branch targets goes through here. */
+uint32_t *
+branchTarget(MicroOp &op)
+{
+    switch (op.op) {
+      case MOp::Jmp: return &op.a;
+      case MOp::BrTrue:
+      case MOp::BrFalse: return &op.b;
+      default: return isCmpBr(op.op) ? &op.d : nullptr;
+    }
+}
+
+/** is_target[pc]: does some branch of `ops` land on pc? */
+std::vector<uint8_t>
+branchTargets(std::vector<MicroOp> &ops)
+{
+    std::vector<uint8_t> is_target(ops.size(), 0);
+    for (MicroOp &op : ops)
+        if (const uint32_t *t = branchTarget(op))
+            is_target[*t] = 1;
+    return is_target;
+}
+
 bool
 isTerminator(MOp op)
 {
@@ -165,6 +190,9 @@ provesWriteBeforeRead(const CompiledKernel &k)
     return true;
 }
 
+/** A case label per op of one of microop.h's op lists. */
+#define VCB_MOP_CASE(name, expr) case MOp::name:
+
 /** Apply fn to every register a micro-op writes. */
 template <typename Fn>
 void
@@ -194,11 +222,10 @@ forEachDst(const MicroOp &op, Fn fn)
         fn(op.d);
         fn(op.aux);
         break;
-      case MOp::Super:
       case MOp::SuperLoop:
-        // Superops are formed after every forEachDst consumer runs;
+        // SuperLoops are formed after every forEachDst consumer runs;
         // their writes live in the side table, unreachable from here.
-        VCB_ASSERT(false, "forEachDst on a superop");
+        VCB_ASSERT(false, "forEachDst on a SuperLoop");
         break;
       default:
         // Everything else (ALU, compares, loads, atomics, CmpBr*,
@@ -222,15 +249,11 @@ forEachSrc(const MicroOp &op, Fn fn)
       case MOp::Ret:
         break;
       case MOp::Mov:
-      case MOp::INot: case MOp::INeg:
-      case MOp::FAbs: case MOp::FNeg: case MOp::FSqrt: case MOp::FExp:
-      case MOp::FLog: case MOp::FFloor: case MOp::FSin: case MOp::FCos:
-      case MOp::CvtSF: case MOp::CvtFS:
+      VCB_UNARY_OPS(VCB_MOP_CASE)
       case MOp::LdShared:
         fn(op.b);
         break;
-      case MOp::FFma:
-      case MOp::Select:
+      VCB_TERNARY_OPS(VCB_MOP_CASE)
         fn(op.b);
         fn(op.c);
         fn(op.d);
@@ -281,9 +304,8 @@ forEachSrc(const MicroOp &op, Fn fn)
         fn(op.e);
         fn(op.aux);
         break;
-      case MOp::Super:
       case MOp::SuperLoop:
-        VCB_ASSERT(false, "forEachSrc on a superop");
+        VCB_ASSERT(false, "forEachSrc on a SuperLoop");
         break;
       default:
         // Binary ALU, compares, CmpBr*: sources in b and c.
@@ -323,20 +345,7 @@ isTemplatePure(const MicroOp &op)
       case MOp::Const:
       case MOp::Mov:
       case MOp::LdPush:
-      case MOp::IAdd: case MOp::ISub: case MOp::IMul:
-      case MOp::IMin: case MOp::IMax: case MOp::IAnd: case MOp::IOr:
-      case MOp::IXor: case MOp::INot: case MOp::INeg: case MOp::IShl:
-      case MOp::IShrU: case MOp::IShrS:
-      case MOp::FAdd: case MOp::FSub: case MOp::FMul: case MOp::FDiv:
-      case MOp::FMin: case MOp::FMax: case MOp::FAbs: case MOp::FNeg:
-      case MOp::FSqrt: case MOp::FExp: case MOp::FLog: case MOp::FFloor:
-      case MOp::FSin: case MOp::FCos: case MOp::FFma: case MOp::FPow:
-      case MOp::CvtSF: case MOp::CvtFS:
-      case MOp::IEq: case MOp::INe: case MOp::ILt: case MOp::ILe:
-      case MOp::IGt: case MOp::IGe: case MOp::ULt: case MOp::UGe:
-      case MOp::FEq: case MOp::FNe: case MOp::FLt: case MOp::FLe:
-      case MOp::FGt: case MOp::FGe:
-      case MOp::Select:
+      VCB_PURE_OPS(VCB_MOP_CASE, VCB_MOP_CASE, VCB_MOP_CASE)
       case MOp::IMulAdd:
       case MOp::IAddAdd:
         return true;
@@ -363,14 +372,9 @@ templateSrcsUniform(const MicroOp &op, const std::vector<uint8_t> &uni)
       case MOp::LdBuiltin:
         return true;
       case MOp::Mov:
-      case MOp::INot:
-      case MOp::INeg:
-      case MOp::FAbs: case MOp::FNeg: case MOp::FSqrt: case MOp::FExp:
-      case MOp::FLog: case MOp::FFloor: case MOp::FSin: case MOp::FCos:
-      case MOp::CvtSF: case MOp::CvtFS:
+      VCB_UNARY_OPS(VCB_MOP_CASE)
         return u(op.b);
-      case MOp::FFma:
-      case MOp::Select:
+      VCB_TERNARY_OPS(VCB_MOP_CASE)
         return u(op.b) && u(op.c) && u(op.d);
       case MOp::IMulAdd:
       case MOp::IAddAdd:
@@ -381,6 +385,8 @@ templateSrcsUniform(const MicroOp &op, const std::vector<uint8_t> &uni)
         return u(op.b) && u(op.c);
     }
 }
+
+#undef VCB_MOP_CASE
 
 /**
  * Hoist dispatch-uniform entry ops into mk.templateOps (see the field
@@ -399,18 +405,7 @@ hoistUniformEntry(MicroKernel &mk, std::vector<uint8_t> &cost,
     // re-execute a suffix of it, so the hoist region stops at the
     // first target (re-entry at op 0 re-executes the whole region and
     // stays exact — uniform write-once ops rewrite the same values).
-    std::vector<uint8_t> is_target(mk.ops.size(), 0);
-    for (const MicroOp &op : mk.ops) {
-        switch (op.op) {
-          case MOp::Jmp: is_target[op.a] = 1; break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: is_target[op.b] = 1; break;
-          default:
-            if (isCmpBr(op.op))
-                is_target[op.d] = 1;
-            break;
-        }
-    }
+    const std::vector<uint8_t> is_target = branchTargets(mk.ops);
 
     std::vector<uint8_t> write_count(reg_count, 0);
     for (const MicroOp &op : mk.ops)
@@ -463,24 +458,15 @@ hoistUniformEntry(MicroKernel &mk, std::vector<uint8_t> &cost,
     // Targets are either 0 (loop back to entry: re-executes the whole
     // region, which hoisted write-once ops make value- and
     // cost-neutral) or past the hoist region.
-    auto remap = [&](uint32_t t) { return t == 0 ? 0 : t - hoisted; };
-    for (MicroOp &op : new_ops) {
-        switch (op.op) {
-          case MOp::Jmp: op.a = remap(op.a); break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: op.b = remap(op.b); break;
-          default:
-            if (isCmpBr(op.op))
-                op.d = remap(op.d);
-            break;
-        }
-    }
+    for (MicroOp &op : new_ops)
+        if (uint32_t *t = branchTarget(op))
+            *t = *t == 0 ? 0 : *t - hoisted;
     mk.ops = std::move(new_ops);
     cost = std::move(new_cost);
     mk.hoistedCost = hoisted_cost;
 }
 
-// --- superop recognition (pass 3.5) ---------------------------------------
+// --- SuperLoop recognition (pass 3.5) -------------------------------------
 
 /**
  * May the candidate run [s, e) keep `scratch` in host registers?
@@ -594,90 +580,7 @@ matchShDotStep(const MicroKernel &mk, size_t i, SuperOp &sup)
     return true;
 }
 
-/**
- * Pass 3.5: recognize the suite's dominant straight-line runs and
- * replace each with one MOp::Super record dispatched through the
- * SuperKind template registry.  Runs after hoisting, so the entry
- * analysis sees the plain stream; branch targets are remapped and the
- * per-op costs summed into the record, so costFrom — and therefore
- * laneCycles — are unchanged.  A run is only fused when control flow
- * cannot enter its interior and its scratch registers are provably
- * unreferenced outside it (then every executor tier may keep them in
- * host registers instead of the lane register file).
- */
-void
-fuseSuperopRuns(MicroKernel &mk, std::vector<uint8_t> &cost)
-{
-    const size_t n = mk.ops.size();
-    std::vector<uint8_t> is_target(n, 0);
-    for (const MicroOp &op : mk.ops) {
-        switch (op.op) {
-          case MOp::Jmp: is_target[op.a] = 1; break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: is_target[op.b] = 1; break;
-          default:
-            if (isCmpBr(op.op))
-                is_target[op.d] = 1;
-            break;
-        }
-    }
-    auto interiorFree = [&](size_t s, size_t e) {
-        for (size_t j = s + 1; j < e; ++j)
-            if (is_target[j])
-                return false;
-        return true;
-    };
-
-    std::vector<MicroOp> new_ops;
-    std::vector<uint8_t> new_cost;
-    std::vector<uint32_t> remap(n, 0);
-    new_ops.reserve(n);
-    new_cost.reserve(n);
-    size_t i = 0;
-    while (i < n) {
-        remap[i] = static_cast<uint32_t>(new_ops.size());
-        SuperOp sup;
-        size_t len = 0;
-        if (i + 6 <= n && interiorFree(i, i + 6) &&
-            (matchSqDistStep(mk, i, sup) || matchShDotStep(mk, i, sup)))
-            len = 6;
-        if (len == 0) {
-            new_ops.push_back(mk.ops[i]);
-            new_cost.push_back(cost[i]);
-            ++i;
-            continue;
-        }
-        uint32_t csum = 0;
-        for (size_t j = 0; j < len; ++j)
-            csum += cost[i + j];
-        sup.cost = csum;
-        MicroOp op;
-        op.op = MOp::Super;
-        op.aux = static_cast<uint16_t>(mk.supers.size());
-        mk.supers.push_back(sup);
-        new_ops.push_back(op);
-        VCB_ASSERT(csum <= 0xff, "superop cost overflow");
-        new_cost.push_back(static_cast<uint8_t>(csum));
-        i += len;
-    }
-    if (mk.supers.empty())
-        return;
-    for (MicroOp &op : new_ops) {
-        switch (op.op) {
-          case MOp::Jmp: op.a = remap[op.a]; break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: op.b = remap[op.b]; break;
-          default:
-            if (isCmpBr(op.op))
-                op.d = remap[op.d];
-            break;
-        }
-    }
-    mk.ops = std::move(new_ops);
-    cost = std::move(new_cost);
-}
-
-/** Registers a superop template references (prefix of SuperOp::r). */
+/** Registers a body template references (prefix of SuperOp::r). */
 size_t
 superRegCount(SuperKind kind)
 {
@@ -689,108 +592,96 @@ superRegCount(SuperKind kind)
     return 0;
 }
 
+/** Micro-ops a SuperLoop replaces: head, six-op body, back edge. */
+constexpr size_t kLoopLen = 8;
+
 /**
- * Pass 3.6: wrap each [CmpBrILt head; Super body; Jmp back-to-head]
- * triad into one MOp::SuperLoop terminator that runs the counted loop
- * to completion per lane — the executor pays one dispatch per LOOP
- * instead of three per ITERATION, and per-lane trip counts never
- * surface as divergence (all lanes reconverge at the exit pc).
- *
- * Soundness: control flow cannot land inside the triad (is_target),
- * the head's exit value of the flag register is written exactly
- * (loopAux — the failing test's result), and skipping the flag's
- * intermediate per-test writes is invisible because the flag register
- * is provably not referenced by the head's own operands or the body.
- * Cycle charges are carried per iteration (headCost + bodyCost, the
- * same costFrom charges the unfused stream pays per trip around the
- * back edge), so laneCycles stay bit-identical.
+ * Match a fused counted loop at mk.ops[i..i+8): head `CmpBrILt` that
+ * exits when the test fails, a six-op body matching a SuperKind
+ * template, and a Jmp back to the head.  Control may enter only at the
+ * head and must exit past the back edge, and the head's flag register
+ * must be none of the loop's own operands — then skipping its
+ * per-iteration writes is invisible.
+ */
+bool
+matchSuperLoop(const MicroKernel &mk, const std::vector<uint8_t> &is_target,
+               size_t i, SuperOp &sup)
+{
+    if (i + kLoopLen > mk.ops.size())
+        return false;
+    const MicroOp &head = mk.ops[i];
+    const MicroOp &back = mk.ops[i + kLoopLen - 1];
+    if (head.op != MOp::CmpBrILt || head.aux != 0 || back.op != MOp::Jmp ||
+        back.a != i || (head.d >= i && head.d < i + kLoopLen))
+        return false;
+    for (size_t j = i + 1; j < i + kLoopLen; ++j)
+        if (is_target[j])
+            return false;
+    if (!matchSqDistStep(mk, i + 1, sup) && !matchShDotStep(mk, i + 1, sup))
+        return false;
+    bool flag_free = head.a != head.b && head.a != head.c;
+    for (size_t r = 0, cnt = superRegCount(sup.kind); r < cnt; ++r)
+        flag_free &= head.a != sup.r[r];
+    if (!flag_free)
+        return false;
+    sup.loopFlag = head.a;
+    sup.loopB = head.b;
+    sup.loopC = head.c;
+    sup.exitPc = head.d; // old index; the caller remaps it
+    return true;
+}
+
+/**
+ * Pass 3.5: fuse each [CmpBrILt head; SuperKind body; Jmp back] loop
+ * into one MOp::SuperLoop terminator that runs the counted loop to
+ * completion per lane — the executor pays one dispatch per LOOP
+ * instead of eight per ITERATION, and per-lane trip counts never
+ * surface as divergence (all lanes reconverge at the exit pc).  Runs
+ * after hoisting, so the entry analysis sees the plain stream.  The
+ * record keeps the head's cost as its arrival charge and carries
+ * headCost + bodyCost per iteration (the costFrom charges the unfused
+ * stream pays per trip around the back edge), so laneCycles stay
+ * bit-identical.
  */
 void
 fuseSuperLoops(MicroKernel &mk, std::vector<uint8_t> &cost)
 {
     const size_t n = mk.ops.size();
-    std::vector<uint8_t> is_target(n, 0);
-    for (const MicroOp &op : mk.ops) {
-        switch (op.op) {
-          case MOp::Jmp: is_target[op.a] = 1; break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: is_target[op.b] = 1; break;
-          default:
-            if (isCmpBr(op.op))
-                is_target[op.d] = 1;
-            break;
-        }
-    }
-
+    const std::vector<uint8_t> is_target = branchTargets(mk.ops);
     std::vector<MicroOp> new_ops;
     std::vector<uint8_t> new_cost;
     std::vector<uint32_t> remap(n, 0);
     new_ops.reserve(n);
     new_cost.reserve(n);
-    bool any = false;
-    size_t i = 0;
-    while (i < n) {
+    for (size_t i = 0; i < n;) {
         remap[i] = static_cast<uint32_t>(new_ops.size());
-        bool fuse = false;
-        if (i + 3 <= n && mk.ops[i].op == MOp::CmpBrILt &&
-            mk.ops[i].aux == 0 && mk.ops[i + 1].op == MOp::Super &&
-            mk.ops[i + 2].op == MOp::Jmp && mk.ops[i + 2].a == i &&
-            !is_target[i + 1] && !is_target[i + 2] &&
-            mk.ops[i].d != i && mk.ops[i].d != i + 1 &&
-            mk.ops[i].d != i + 2) {
-            const MicroOp &head = mk.ops[i];
-            SuperOp &sup = mk.supers[mk.ops[i + 1].aux];
-            bool flag_free = head.a != head.b && head.a != head.c;
-            for (size_t r = 0, cnt = superRegCount(sup.kind); r < cnt;
-                 ++r)
-                flag_free &= head.a != sup.r[r];
-            if (flag_free) {
-                sup.loop = 1;
-                sup.loopAux = head.aux;
-                sup.loopFlag = head.a;
-                sup.loopB = head.b;
-                sup.loopC = head.c;
-                sup.exitPc = head.d; // old index; remapped below
-                sup.headCost = cost[i];
-                sup.bodyCost =
-                    static_cast<uint32_t>(cost[i + 1]) + cost[i + 2];
-                MicroOp op;
-                op.op = MOp::SuperLoop;
-                op.aux = mk.ops[i + 1].aux;
-                new_ops.push_back(op);
-                // Arrival charge stays the head test's cost; the
-                // handler charges the per-iteration costs itself.
-                new_cost.push_back(cost[i]);
-                fuse = true;
-                any = true;
-            }
-        }
-        if (!fuse) {
+        SuperOp sup;
+        if (!matchSuperLoop(mk, is_target, i, sup)) {
             new_ops.push_back(mk.ops[i]);
             new_cost.push_back(cost[i]);
             ++i;
             continue;
         }
-        remap[i + 1] = remap[i];
-        remap[i + 2] = remap[i];
-        i += 3;
-    }
-    if (!any)
-        return;
-    for (MicroOp &op : new_ops) {
-        switch (op.op) {
-          case MOp::Jmp: op.a = remap[op.a]; break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: op.b = remap[op.b]; break;
-          default:
-            if (isCmpBr(op.op))
-                op.d = remap[op.d];
-            break;
+        sup.headCost = cost[i];
+        for (size_t j = i + 1; j < i + kLoopLen; ++j) {
+            sup.bodyCost += cost[j];
+            remap[j] = remap[i];
         }
+        MicroOp op;
+        op.op = MOp::SuperLoop;
+        op.aux = static_cast<uint16_t>(mk.supers.size());
+        mk.supers.push_back(sup);
+        new_ops.push_back(op);
+        new_cost.push_back(cost[i]);
+        i += kLoopLen;
     }
+    if (mk.supers.empty())
+        return;
+    for (MicroOp &op : new_ops)
+        if (uint32_t *t = branchTarget(op))
+            *t = remap[*t];
     for (SuperOp &sup : mk.supers)
-        if (sup.loop)
-            sup.exitPc = remap[sup.exitPc];
+        sup.exitPc = remap[sup.exitPc];
     mk.ops = std::move(new_ops);
     cost = std::move(new_cost);
 }
@@ -978,36 +869,13 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
             emit({MOp::LdPush, 0, in.a, in.b, 0, 0, 0}, c);
             break;
 
-#define VCB_LOWER_SAME(name)                                              \
+#define VCB_LOWER_SAME(name, ...)                                         \
           case Op::name:                                                  \
             emit({MOp::name, 0, in.a, in.b, in.c, in.d, 0}, c);           \
-            break
-          VCB_LOWER_SAME(IAdd); VCB_LOWER_SAME(ISub);
-          VCB_LOWER_SAME(IMul); VCB_LOWER_SAME(IDiv);
-          VCB_LOWER_SAME(IRem); VCB_LOWER_SAME(IMin);
-          VCB_LOWER_SAME(IMax); VCB_LOWER_SAME(IAnd);
-          VCB_LOWER_SAME(IOr);  VCB_LOWER_SAME(IXor);
-          VCB_LOWER_SAME(INot); VCB_LOWER_SAME(INeg);
-          VCB_LOWER_SAME(IShl); VCB_LOWER_SAME(IShrU);
-          VCB_LOWER_SAME(IShrS);
-          VCB_LOWER_SAME(FAdd); VCB_LOWER_SAME(FSub);
-          VCB_LOWER_SAME(FMul); VCB_LOWER_SAME(FDiv);
-          VCB_LOWER_SAME(FMin); VCB_LOWER_SAME(FMax);
-          VCB_LOWER_SAME(FAbs); VCB_LOWER_SAME(FNeg);
-          VCB_LOWER_SAME(FSqrt); VCB_LOWER_SAME(FExp);
-          VCB_LOWER_SAME(FLog); VCB_LOWER_SAME(FFloor);
-          VCB_LOWER_SAME(FSin); VCB_LOWER_SAME(FCos);
-          VCB_LOWER_SAME(FFma); VCB_LOWER_SAME(FPow);
-          VCB_LOWER_SAME(CvtSF); VCB_LOWER_SAME(CvtFS);
-          VCB_LOWER_SAME(IEq); VCB_LOWER_SAME(INe);
-          VCB_LOWER_SAME(ILt); VCB_LOWER_SAME(ILe);
-          VCB_LOWER_SAME(IGt); VCB_LOWER_SAME(IGe);
-          VCB_LOWER_SAME(ULt); VCB_LOWER_SAME(UGe);
-          VCB_LOWER_SAME(FEq); VCB_LOWER_SAME(FNe);
-          VCB_LOWER_SAME(FLt); VCB_LOWER_SAME(FLe);
-          VCB_LOWER_SAME(FGt); VCB_LOWER_SAME(FGe);
-          VCB_LOWER_SAME(Select);
-          VCB_LOWER_SAME(LdShared); VCB_LOWER_SAME(StShared);
+            break;
+          VCB_PURE_OPS(VCB_LOWER_SAME, VCB_LOWER_SAME, VCB_LOWER_SAME)
+          VCB_LOWER_SAME(IDiv) VCB_LOWER_SAME(IRem)
+          VCB_LOWER_SAME(LdShared) VCB_LOWER_SAME(StShared)
 #undef VCB_LOWER_SAME
 
           case Op::LdBuf:
@@ -1052,17 +920,9 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
     }
 
     // Pass 2: remap branch targets from source to micro indices.
-    for (MicroOp &op : mk.ops) {
-        switch (op.op) {
-          case MOp::Jmp: op.a = micro_of[op.a]; break;
-          case MOp::BrTrue:
-          case MOp::BrFalse: op.b = micro_of[op.b]; break;
-          default:
-            if (isCmpBr(op.op))
-                op.d = micro_of[op.d];
-            break;
-        }
-    }
+    for (MicroOp &op : mk.ops)
+        if (uint32_t *t = branchTarget(op))
+            *t = micro_of[*t];
 
     mk.skipRegZeroInit = provesWriteBeforeRead(k);
 
@@ -1070,14 +930,10 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
     // template (sound only with write-before-read proven).
     hoistUniformEntry(mk, cost, k.module.regCount);
 
-    // Pass 3.5: templated superops over the remaining stream, then
-    // pass 3.6: counted loops around a superop body fuse into
+    // Pass 3.5: counted loops around a template body fuse into
     // run-to-completion SuperLoop records.
-    if (opt.fuseSuperops) {
-        fuseSuperopRuns(mk, cost);
-        if (!mk.supers.empty())
-            fuseSuperLoops(mk, cost);
-    }
+    if (opt.fuseSuperops)
+        fuseSuperLoops(mk, cost);
 
     // Pass 4: suffix-sum costs per straight-line run; the entry run
     // additionally carries the hoisted ops' cost so laneCycles stay
@@ -1091,24 +947,10 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
     mk.costFrom[0] += mk.hoistedCost;
 
     // Tier-policy metadata.
-    for (const MicroOp &op : mk.ops) {
-        switch (op.op) {
-          case MOp::Jmp:
-          case MOp::BrTrue:
-          case MOp::BrFalse:
-            mk.hasBranches = true;
-            break;
-          case MOp::AtomIAdd:
-          case MOp::AtomIOr:
-          case MOp::AtomIMin:
-          case MOp::AtomIMax:
-            mk.hasAtomics = true;
-            break;
-          default:
-            if (isCmpBr(op.op))
-                mk.hasBranches = true;
-            break;
-        }
+    for (MicroOp &op : mk.ops) {
+        mk.hasBranches |= branchTarget(op) != nullptr;
+        mk.hasAtomics |= op.op == MOp::AtomIAdd || op.op == MOp::AtomIOr ||
+                         op.op == MOp::AtomIMin || op.op == MOp::AtomIMax;
     }
 
     k.micro = std::make_shared<const MicroKernel>(std::move(local));
@@ -1190,26 +1032,21 @@ const char *
 mopName(MOp op)
 {
     static const char *const names[] = {
+#define VCB_NAME(name, expr) #name,
+#define VCB_CMPBR_NAME(name, expr) "CmpBr" #name,
         "Const", "Mov", "LdBuiltin", "LdPush",
-        "IAdd", "ISub", "IMul", "IDiv", "IRem", "IMin", "IMax", "IAnd",
-        "IOr", "IXor", "INot", "INeg", "IShl", "IShrU", "IShrS",
-        "FAdd", "FSub", "FMul", "FDiv", "FMin", "FMax", "FAbs", "FNeg",
-        "FSqrt", "FExp", "FLog", "FFloor", "FSin", "FCos", "FFma",
-        "FPow", "CvtSF", "CvtFS",
-        "IEq", "INe", "ILt", "ILe", "IGt", "IGe", "ULt", "UGe",
-        "FEq", "FNe", "FLt", "FLe", "FGt", "FGe", "Select",
+        VCB_PURE_OPS(VCB_NAME, VCB_NAME, VCB_NAME)
+        "IDiv", "IRem",
         "LdBuf", "StBuf", "LdShared", "StShared",
         "AtomIAdd", "AtomIOr", "AtomIMin", "AtomIMax",
         "Jmp", "BrTrue", "BrFalse",
-        "CmpBrIEq", "CmpBrINe", "CmpBrILt", "CmpBrILe", "CmpBrIGt",
-        "CmpBrIGe", "CmpBrULt", "CmpBrUGe",
-        "CmpBrFEq", "CmpBrFNe", "CmpBrFLt", "CmpBrFLe", "CmpBrFGt",
-        "CmpBrFGe",
+        VCB_COMPARE_OPS(VCB_CMPBR_NAME)
         "IAddLd", "IAddSt", "IMulAdd", "IAddAdd",
         "IAddLdSh", "IAddStSh", "MulAddLdSh", "MulAddStSh",
-        "FMulFAdd", "IDivRem",
-        "Super", "SuperLoop",
+        "FMulFAdd", "IDivRem", "SuperLoop",
         "Barrier", "Ret",
+#undef VCB_NAME
+#undef VCB_CMPBR_NAME
     };
     static_assert(sizeof(names) / sizeof(names[0]) ==
                       static_cast<size_t>(MOp::Count),
@@ -1358,7 +1195,6 @@ renderMicroOp(const MicroKernel &mk, uint32_t pc)
       case MOp::IDivRem:
         return strf("r%u = r%u / r%u; r%u = r%u %% r%u", o.a, o.b, o.c,
                     o.d, o.b, o.c);
-      case MOp::Super:
       case MOp::SuperLoop: {
         const SuperOp &s = mk.supers[o.aux];
         std::string body;
@@ -1383,8 +1219,6 @@ renderMicroOp(const MicroKernel &mk, uint32_t pc)
             body = strf("?%u", o.aux);
             break;
         }
-        if (o.op == MOp::Super)
-            return "super " + body;
         return strf("superloop while (int r%u < int r%u) [r%u, @%u] ",
                     s.loopB, s.loopC, s.loopFlag, s.exitPc) +
                body;

@@ -30,7 +30,9 @@
 #ifndef VCB_SIM_MICROOP_H
 #define VCB_SIM_MICROOP_H
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,6 +43,75 @@
 namespace vcb::sim {
 
 struct CompiledKernel;
+
+/**
+ * The pure ops: no memory, no statistics, no control, no traps.  Each
+ * entry X(name, expr) gives the word r[a] receives from the operand
+ * words x = r[b], y = r[c] and z = r[d], as the op's arity has them.
+ * Every evaluator is generated from these lists — the lane-major and
+ * op-major executors, the hoisted-template evaluator and the fused
+ * CmpBr* family — so an op's meaning is written exactly once.
+ */
+#define VCB_UNARY_OPS(X)                                                  \
+    X(INot, ~x)                                                           \
+    X(INeg, 0u - x)                                                       \
+    X(FAbs, fToBits(std::fabs(bitsToF(x))))                               \
+    X(FNeg, fToBits(-bitsToF(x)))                                         \
+    X(FSqrt, fToBits(std::sqrt(bitsToF(x))))                              \
+    X(FExp, fToBits(std::exp(bitsToF(x))))                                \
+    X(FLog, fToBits(std::log(bitsToF(x))))                                \
+    X(FFloor, fToBits(std::floor(bitsToF(x))))                            \
+    X(FSin, fToBits(std::sin(bitsToF(x))))                                \
+    X(FCos, fToBits(std::cos(bitsToF(x))))                                \
+    X(CvtSF, fToBits(static_cast<float>(bitsToS(x))))                     \
+    X(CvtFS, cvtFSWord(x))
+
+#define VCB_BINARY_OPS(X)                                                 \
+    X(IAdd, x + y)                                                        \
+    X(ISub, x - y)                                                        \
+    X(IMul, x * y)                                                        \
+    X(IMin, static_cast<uint32_t>(std::min(bitsToS(x), bitsToS(y))))      \
+    X(IMax, static_cast<uint32_t>(std::max(bitsToS(x), bitsToS(y))))      \
+    X(IAnd, x & y)                                                        \
+    X(IOr, x | y)                                                         \
+    X(IXor, x ^ y)                                                        \
+    X(IShl, x << (y & 31))                                                \
+    X(IShrU, x >> (y & 31))                                               \
+    X(IShrS, static_cast<uint32_t>(bitsToS(x) >> (y & 31)))               \
+    X(FAdd, fToBits(bitsToF(x) + bitsToF(y)))                             \
+    X(FSub, fToBits(bitsToF(x) - bitsToF(y)))                             \
+    X(FMul, fToBits(bitsToF(x) * bitsToF(y)))                             \
+    X(FDiv, fToBits(bitsToF(x) / bitsToF(y)))                             \
+    X(FMin, fToBits(std::fmin(bitsToF(x), bitsToF(y))))                   \
+    X(FMax, fToBits(std::fmax(bitsToF(x), bitsToF(y))))                   \
+    X(FPow, fToBits(std::pow(bitsToF(x), bitsToF(y))))
+
+/** Binary compares writing 0 or 1, in spirv Op::IEq..Op::FGe order:
+ *  the CmpBr* block and the spirv compares index each other. */
+#define VCB_COMPARE_OPS(X)                                                \
+    X(IEq, x == y)                                                        \
+    X(INe, x != y)                                                        \
+    X(ILt, bitsToS(x) < bitsToS(y))                                       \
+    X(ILe, bitsToS(x) <= bitsToS(y))                                      \
+    X(IGt, bitsToS(x) > bitsToS(y))                                       \
+    X(IGe, bitsToS(x) >= bitsToS(y))                                      \
+    X(ULt, x < y)                                                         \
+    X(UGe, x >= y)                                                        \
+    X(FEq, bitsToF(x) == bitsToF(y))                                      \
+    X(FNe, bitsToF(x) != bitsToF(y))                                      \
+    X(FLt, bitsToF(x) < bitsToF(y))                                       \
+    X(FLe, bitsToF(x) <= bitsToF(y))                                      \
+    X(FGt, bitsToF(x) > bitsToF(y))                                       \
+    X(FGe, bitsToF(x) >= bitsToF(y))
+
+#define VCB_TERNARY_OPS(X)                                                \
+    X(FFma, fToBits(std::fma(bitsToF(x), bitsToF(y), bitsToF(z))))        \
+    X(Select, x ? y : z)
+
+/** Every pure op, through U (unary), B (binary, the compares last) or
+ *  T (ternary). */
+#define VCB_PURE_OPS(U, B, T)                                             \
+    VCB_UNARY_OPS(U) VCB_BINARY_OPS(B) VCB_COMPARE_OPS(B) VCB_TERNARY_OPS(T)
 
 /**
  * Micro-op opcodes.  Operand conventions (fields of MicroOp) are given
@@ -54,17 +125,11 @@ enum class MOp : uint16_t
     LdBuiltin, ///< r[a] = builtin(aux)
     LdPush,    ///< r[a] = push[b]
 
-    IAdd, ISub, IMul, IDiv, IRem, IMin, IMax, IAnd, IOr, IXor,
-    INot, INeg, IShl, IShrU, IShrS,
-    FAdd, FSub, FMul, FDiv, FMin, FMax, FAbs, FNeg, FSqrt, FExp, FLog,
-    FFloor, FSin, FCos,
-    FFma,      ///< r[a] = fma(r[b], r[c], r[d])
-    FPow,
-    CvtSF, CvtFS,
-
-    IEq, INe, ILt, ILe, IGt, IGe, ULt, UGe,
-    FEq, FNe, FLt, FLe, FGt, FGe,
-    Select,    ///< r[a] = r[b] ? r[c] : r[d]
+#define VCB_MOP_ENUM(name, expr) name,
+    VCB_PURE_OPS(VCB_MOP_ENUM, VCB_MOP_ENUM, VCB_MOP_ENUM)
+#undef VCB_MOP_ENUM
+    IDiv,      ///< r[a] = r[b] / r[c]; traps on a zero divisor
+    IRem,      ///< r[a] = r[b] % r[c]; traps on a zero divisor
 
     LdBuf,     ///< r[a] = buf[b][r[c]]; site slot d
     StBuf,     ///< buf[a][r[b]] = r[c]; site slot d
@@ -81,10 +146,10 @@ enum class MOp : uint16_t
     /** Fused compare+branch family: r[a] = (r[b] <op> r[c]); branch to
      *  d when the result equals aux (the branch sense).  One micro-op
      *  per comparison so the executor needs no inner dispatch; order
-     *  matches the spirv compares Op::IEq..Op::FGe. */
-    CmpBrIEq, CmpBrINe, CmpBrILt, CmpBrILe, CmpBrIGt, CmpBrIGe,
-    CmpBrULt, CmpBrUGe,
-    CmpBrFEq, CmpBrFNe, CmpBrFLt, CmpBrFLe, CmpBrFGt, CmpBrFGe,
+     *  matches VCB_COMPARE_OPS. */
+#define VCB_MOP_CMPBR_ENUM(name, expr) CmpBr##name,
+    VCB_COMPARE_OPS(VCB_MOP_CMPBR_ENUM)
+#undef VCB_MOP_CMPBR_ENUM
     /** Fused address+load: t = r[b] + r[c]; r[a] = t;
      *  r[d] = buf[aux][t]; site slot e. */
     IAddLd,
@@ -116,19 +181,13 @@ enum class MOp : uint16_t
      *  division): r[a] = r[b] / r[c]; r[d] = r[b] % r[c]. */
     IDivRem,
 
-    /** Templated superop: aux indexes MicroKernel::supers, whose
-     *  SuperKind selects a hand-written template for a whole
-     *  straight-line run of micro-ops (see SuperOp).  All executor
-     *  tiers dispatch the same record, so superop formation can never
-     *  change results; its cost is the sum of the fused ops' costs. */
-    Super,
-    /** A counted loop [CmpBrILt head; Super body; Jmp back] fused
-     *  into one record (aux indexes supers, whose loop extension
-     *  holds the head/exit wiring).  Every executor runs the whole
-     *  loop to completion per lane — trip counts may differ per lane
-     *  without ever surfacing as divergence, since all lanes
-     *  reconverge at the exit pc.  Terminator (ends with a transfer
-     *  to the exit pc). */
+    /** The one superop: a counted loop [CmpBrILt head; six-op body;
+     *  Jmp back] whose body matches a SuperKind template, fused into
+     *  one record (aux indexes MicroKernel::supers).  Every executor
+     *  runs the whole loop to completion per lane — trip counts may
+     *  differ per lane without ever surfacing as divergence, since all
+     *  lanes reconverge at the exit pc.  Terminator (ends with a
+     *  transfer to the exit pc). */
     SuperLoop,
 
     Barrier,
@@ -137,12 +196,13 @@ enum class MOp : uint16_t
 };
 
 /**
- * Superop templates: the suite's dominant straight-line runs, each
- * specialized into one hand-written loop body per executor.  The
- * recognizer (lowerKernel pass 3.5) only forms one when the run's
- * scratch registers are referenced nowhere else in the kernel, so the
- * templates can keep intermediates in host registers instead of
- * round-tripping every value through the lane register file.
+ * SuperLoop body templates: the suite's dominant counted-loop bodies,
+ * each written twice — once in the lane-major reference executor, once
+ * span-wide (Interpreter::execSuper).  The recognizer (lowerKernel
+ * pass 3.5) only fuses a body whose scratch registers are referenced
+ * nowhere else in the kernel, so the templates can keep intermediates
+ * in host registers instead of round-tripping every value through the
+ * lane register file.
  */
 enum class SuperKind : uint16_t
 {
@@ -169,10 +229,15 @@ enum class SuperKind : uint16_t
 };
 
 /**
- * One recognized superop instance: the template id plus the distilled
- * register/buffer/site operands (layout per SuperKind above).  The
- * fused run's summed issue cost rides along so pass 4's costFrom
- * suffix-sums — and therefore laneCycles — are unchanged.
+ * One fused counted loop (MOp::SuperLoop): the body template plus its
+ * distilled register/buffer/site operands (layout per SuperKind
+ * above), and the loop `while (int r[loopB] < int r[loopC])` around
+ * it.  The executor runs the body to completion per lane, then writes
+ * 0 to the head's flag register r[loopFlag] (the value the final,
+ * failing test produces) and transfers to exitPc.  Per iteration it
+ * charges headCost + bodyCost lane-cycles — the costFrom charges the
+ * unfused stream pays per trip around the back edge — so laneCycles
+ * stay bit-identical for any per-lane trip count.
  */
 struct SuperOp
 {
@@ -182,22 +247,6 @@ struct SuperOp
     uint32_t r[12] = {};
     uint16_t buf[2] = {};
     uint16_t site[2] = {};
-    /** Summed issue cost of the fused micro-ops. */
-    uint32_t cost = 0;
-
-    /**
-     * Counted-loop extension (MOp::SuperLoop): when loop != 0 the
-     * record also owns the enclosing `while (int r[loopB] < int
-     * r[loopC])` triad.  The executor runs the body to completion per
-     * lane, then writes the head's flag register (r[loopFlag] =
-     * loopAux, the exact value the final, failing test produces) and
-     * transfers to exitPc.  Per iteration it charges headCost +
-     * bodyCost lane-cycles — the costFrom charges the unfused stream
-     * pays per trip around the back edge — so laneCycles stay
-     * bit-identical for any per-lane trip count.
-     */
-    uint8_t loop = 0;
-    uint16_t loopAux = 0;
     uint32_t loopFlag = 0;
     uint32_t loopB = 0;
     uint32_t loopC = 0;
@@ -206,7 +255,7 @@ struct SuperOp
     uint32_t bodyCost = 0;
 };
 
-/** Symbolic name of a superop template ("SqDistStep", ...). */
+/** Symbolic name of a SuperLoop body template ("SqDistStep", ...). */
 const char *superKindName(SuperKind kind);
 
 /** One packed micro-op.  Field meaning depends on `op` (see MOp). */
@@ -263,7 +312,7 @@ struct MicroKernel
     bool hasAtomics = false;
     /** Number of instruction pairs fused (diagnostics/tests). */
     uint32_t fusedPairs = 0;
-    /** Recognized superop records, indexed by MOp::Super's aux. */
+    /** Fused loop records, indexed by MOp::SuperLoop's aux. */
     std::vector<SuperOp> supers;
 };
 
@@ -275,8 +324,7 @@ struct LowerOptions
     /** Adjacent instruction pairs and triples into fused micro-ops
      *  (the CmpBr* block and IAddLd through IDivRem). */
     bool fusePairs = true;
-    /** Straight-line runs into templated superops (MOp::Super) and
-     *  counted loops around them (MOp::SuperLoop). */
+    /** Counted loops around a SuperKind body into MOp::SuperLoop. */
     bool fuseSuperops = true;
 
     static LowerOptions noFusion() { return {false, false}; }
@@ -361,6 +409,19 @@ inline uint32_t
 sremWrap(uint32_t x, uint32_t y)
 {
     return y == ~0u ? 0u : static_cast<uint32_t>(bitsToS(x) % bitsToS(y));
+}
+
+/** CvtFS: a float word truncated to a signed 32-bit word.  C++ leaves
+ *  the conversion undefined for NaN, infinities and values outside
+ *  [-2^31, 2^31); the simulator defines them as INT_MIN (0x80000000),
+ *  the value x86's cvttss2si returns for all of them. */
+inline uint32_t
+cvtFSWord(uint32_t x)
+{
+    const float v = bitsToF(x);
+    return v >= -0x1p31f && v < 0x1p31f
+               ? static_cast<uint32_t>(static_cast<int32_t>(v))
+               : 0x80000000u;
 }
 
 } // namespace vcb::sim

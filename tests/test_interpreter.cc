@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -570,6 +571,44 @@ TEST(MicroOp, DisassemblyRendersEveryRegistryOp)
         }
     }
     EXPECT_GT(float_compares, 0u);
+}
+
+/** SuperLoop recognition still fires on the registry: equivalence
+ *  tests alone would pass if the matcher never matched, since both
+ *  sides would then run the plain stream.  kmeans_assign's
+ *  squared-distance loop and lud_internal's shared dot-product loop
+ *  each fuse into one SuperLoop; no other kernel forms one, and none
+ *  forms with superops off. */
+TEST(MicroOp, RegistrySuperLoops)
+{
+    const DeviceSpec &dev = gtx1050ti();
+    const std::map<std::string, SuperKind> want = {
+        {"kmeans_assign", SuperKind::SqDistStep},
+        {"lud_internal", SuperKind::ShDotStep}};
+    for (const LowerOptions &opt :
+         {LowerOptions{}, LowerOptions{.fuseSuperops = false}}) {
+        size_t total = 0;
+        for (const auto &[name, build] : kernels::kernelRegistry()) {
+            std::string err;
+            auto kernel = compileKernel(build(), dev, Api::Vulkan, &err);
+            ASSERT_NE(kernel, nullptr) << name << ": " << err;
+            lowerKernel(*kernel, opt);
+            const MicroKernel &mk = *kernel->micro;
+            size_t loops = 0;
+            for (const MicroOp &o : mk.ops)
+                loops += o.op == MOp::SuperLoop;
+            EXPECT_EQ(loops, mk.supers.size()) << name;
+            total += loops;
+            const auto it = want.find(name);
+            if (!opt.fuseSuperops || it == want.end()) {
+                EXPECT_EQ(loops, 0u) << name;
+                continue;
+            }
+            ASSERT_EQ(loops, 1u) << name;
+            EXPECT_EQ(mk.supers[0].kind, it->second) << name;
+        }
+        EXPECT_EQ(total, opt.fuseSuperops ? 2u : 0u);
+    }
 }
 
 TEST(MicroOp, RobustPathMatchesFastPath)

@@ -1,7 +1,9 @@
 /** @file Property test: random straight-line kernels executed by the
  *  interpreter must match a host-side oracle that applies the same
  *  operation semantics to the same register history — bit-exactly,
- *  including float edge cases (inf, denormals, NaN propagation). */
+ *  including float edge cases (inf, denormals, NaN propagation), both
+ *  for one-lane constant programs (the register template) and for
+ *  lane-varying ones under every executor tier. */
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -47,154 +50,272 @@ s(uint32_t bits)
     return static_cast<int32_t>(bits);
 }
 
-/** One random program: builder ops mirrored by host evaluation. */
-void
-runTrial(uint64_t seed)
+/** Which results a later op may consume (see runTrial). */
+enum class Keep
 {
+    Always,
+    UnlessNan,
+    UnlessNanOrZero,
+};
+
+/** One random-program op: the builder call and the host oracle, on
+ *  operand registers / words a, c, d. */
+struct OracleOp
+{
+    Builder::Reg (*emit)(Builder &, Builder::Reg, Builder::Reg,
+                         Builder::Reg);
+    uint32_t (*host)(uint32_t, uint32_t, uint32_t);
+    Keep keep;
+};
+
+using R = Builder::Reg;
+const OracleOp kOracleOps[] = {
+    {[](Builder &b, R a, R c, R) { return b.fadd(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return u(f(a) + f(c)); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.fsub(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return u(f(a) - f(c)); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.fmul(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return u(f(a) * f(c)); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.fdiv(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return u(f(a) / f(c)); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.fmin(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return u(std::fmin(f(a), f(c)));
+     },
+     Keep::UnlessNanOrZero},
+    {[](Builder &b, R a, R c, R) { return b.fmax(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return u(std::fmax(f(a), f(c)));
+     },
+     Keep::UnlessNanOrZero},
+    {[](Builder &b, R a, R, R) { return b.fabs(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::fabs(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R, R) { return b.fsqrt(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::sqrt(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R d) { return b.ffma(a, c, d); },
+     [](uint32_t a, uint32_t c, uint32_t d) {
+         return u(std::fma(f(a), f(c), f(d)));
+     },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R, R) { return b.ffloor(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::floor(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.iadd(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a + c; }, Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.isub(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a - c; }, Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.imul(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a * c; }, Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.iand(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a & c; }, Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ixor(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a ^ c; }, Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ishl(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a << (c & 31); },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ishru(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a >> (c & 31); },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ilt(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return s(a) < s(c) ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R d) { return b.select(a, c, d); },
+     [](uint32_t a, uint32_t c, uint32_t d) { return a ? c : d; },
+     Keep::Always},
+    {[](Builder &b, R a, R, R) { return b.cvtSF(a); },
+     [](uint32_t a, uint32_t, uint32_t) {
+         return u(static_cast<float>(s(a)));
+     },
+     Keep::Always},
+    {[](Builder &b, R a, R, R) { return b.cvtFS(a); },
+     [](uint32_t a, uint32_t, uint32_t) {
+         // NaN, infinities and values outside [-2^31, 2^31) give
+         // INT_MIN; the rest truncate toward zero.
+         const float v = f(a);
+         return v >= -2147483648.0f && v < 2147483648.0f
+                    ? static_cast<uint32_t>(static_cast<int32_t>(v))
+                    : 0x80000000u;
+     },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.imin(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return s(a) < s(c) ? a : c; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.imax(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return s(a) > s(c) ? a : c; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ishrs(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return static_cast<uint32_t>(s(a) >> (c & 31));
+     },
+     Keep::Always},
+    {[](Builder &b, R a, R, R) { return b.inot(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return ~a; }, Keep::Always},
+    {[](Builder &b, R a, R, R) { return b.ineg(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return 0u - a; }, Keep::Always},
+    {[](Builder &b, R a, R, R) { return b.fneg(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(-f(a)); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.ult(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a < c ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.flt(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return f(a) < f(c) ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.feq(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return f(a) == f(c) ? 1u : 0u;
+     },
+     Keep::Always},
+};
+
+/**
+ * One random program: builder ops mirrored by host evaluation.  The
+ * constant form runs one lane from immediate seeds, so the lowering
+ * hoists almost all of it into the register template; the lane-varying
+ * form loads different seeds per lane from a buffer, so every op runs
+ * on an executor, and it runs under every forced tier.
+ */
+void
+runTrial(uint64_t seed, bool varying)
+{
+    constexpr uint32_t kVaryingLanes = 12;
+    const uint32_t lanes = varying ? kVaryingLanes : 1;
     Rng rng(seed);
-    Builder b("prop", 1);
+    Builder b("prop", lanes);
     b.bindStorage(0, ElemType::U32);
+    if (varying)
+        b.bindStorage(1, ElemType::U32, true);
 
     std::vector<Builder::Reg> regs;
-    std::vector<uint32_t> host;
+    std::vector<std::vector<uint32_t>> host; // per register, per lane
     std::vector<int> kinds;
     int current_kind = -1;
 
-    auto push = [&](Builder::Reg r, uint32_t value) {
+    auto push = [&](Builder::Reg r, std::vector<uint32_t> values) {
         regs.push_back(r);
-        host.push_back(value);
+        host.push_back(std::move(values));
         kinds.push_back(current_kind);
     };
 
     // Seed values: mixed magnitudes, a negative, a denormal-ish bit
-    // pattern and a plain integer.
-    float f1 = rng.nextFloat(-100.0f, 100.0f);
-    float f2 = rng.nextFloat(0.001f, 8.0f);
-    int32_t i1 = static_cast<int32_t>(rng.nextRange(-1000, 1000));
-    uint32_t raw = static_cast<uint32_t>(rng.next());
-    push(b.constF(f1), u(f1));
-    push(b.constF(f2), u(f2));
-    push(b.constI(i1), static_cast<uint32_t>(i1));
-    push(b.constU(raw), raw);
-
-    auto pick = [&]() -> size_t { return rng.nextBelow(regs.size()); };
-
-    // NaN payload bits may differ between the interpreter's and this
-    // file's translation units (inlined SSE vs libm code paths), and
-    // integer ops would then diverge on those bits — so NaN-producing
-    // values are terminal: emitted but never consumed downstream.
-    auto push_unless_nan = [&](Builder::Reg r, uint32_t value) {
-        if (!std::isnan(f(value)))
-            push(r, value);
-    };
-    // fmin/fmax of (+0, -0) may return either zero (IEEE 754 allows
-    // both, and translation units lower the call differently), so zero
-    // results of min/max are terminal too.
-    auto push_minmax = [&](Builder::Reg r, uint32_t value) {
-        if (!std::isnan(f(value)) && (value << 1) != 0)
-            push(r, value);
-    };
-
-    for (int op = 0; op < 60; ++op) {
-        size_t ia = pick(), ib = pick(), ic = pick();
-        uint32_t a = host[ia], c = host[ib], d = host[ic];
-        uint64_t choice = rng.nextBelow(20);
-        current_kind = (int)choice;
-        switch (choice) {
-          case 0:
-            push_unless_nan(b.fadd(regs[ia], regs[ib]), u(f(a) + f(c)));
-            break;
-          case 1:
-            push_unless_nan(b.fsub(regs[ia], regs[ib]), u(f(a) - f(c)));
-            break;
-          case 2:
-            push_unless_nan(b.fmul(regs[ia], regs[ib]), u(f(a) * f(c)));
-            break;
-          case 3:
-            push_unless_nan(b.fdiv(regs[ia], regs[ib]), u(f(a) / f(c)));
-            break;
-          case 4:
-            push_minmax(b.fmin(regs[ia], regs[ib]),
-                        u(std::fmin(f(a), f(c))));
-            break;
-          case 5:
-            push_minmax(b.fmax(regs[ia], regs[ib]),
-                        u(std::fmax(f(a), f(c))));
-            break;
-          case 6:
-            push_unless_nan(b.fabs(regs[ia]), u(std::fabs(f(a))));
-            break;
-          case 7:
-            push_unless_nan(b.fsqrt(regs[ia]), u(std::sqrt(f(a))));
-            break;
-          case 8:
-            push_unless_nan(b.ffma(regs[ia], regs[ib], regs[ic]),
-                            u(std::fma(f(a), f(c), f(d))));
-            break;
-          case 9:
-            push_unless_nan(b.ffloor(regs[ia]), u(std::floor(f(a))));
-            break;
-          case 10:
-            push(b.iadd(regs[ia], regs[ib]), a + c);
-            break;
-          case 11:
-            push(b.isub(regs[ia], regs[ib]), a - c);
-            break;
-          case 12:
-            push(b.imul(regs[ia], regs[ib]), a * c);
-            break;
-          case 13:
-            push(b.iand(regs[ia], regs[ib]), a & c);
-            break;
-          case 14:
-            push(b.ixor(regs[ia], regs[ib]), a ^ c);
-            break;
-          case 15:
-            push(b.ishl(regs[ia], regs[ib]), a << (c & 31));
-            break;
-          case 16:
-            push(b.ishru(regs[ia], regs[ib]), a >> (c & 31));
-            break;
-          case 17:
-            push(b.ilt(regs[ia], regs[ib]),
-                 s(a) < s(c) ? 1u : 0u);
-            break;
-          case 18:
-            push(b.select(regs[ia], regs[ib], regs[ic]),
-                 a ? c : d);
-            break;
-          default:
-            push(b.cvtSF(regs[ia]),
-                 u(static_cast<float>(s(a))));
-            break;
+    // pattern and a plain integer.  The lane-varying form reads row
+    // k + 1 of its input at gid + (k + 1) * lanes, stepping by a
+    // loaded row 0 (= lanes) instead of a constant, so that no seed
+    // address is dispatch-uniform.
+    std::vector<uint32_t> input(lanes); // row 0
+    std::vector<std::vector<uint32_t>> seeds(4, std::vector<uint32_t>(lanes));
+    for (uint32_t l = 0; l < lanes; ++l) {
+        input[l] = lanes;
+        seeds[0][l] = u(rng.nextFloat(-100.0f, 100.0f));
+        seeds[1][l] = u(rng.nextFloat(0.001f, 8.0f));
+        seeds[2][l] =
+            static_cast<uint32_t>(static_cast<int32_t>(rng.nextRange(-1000, 1000)));
+        seeds[3][l] = static_cast<uint32_t>(rng.next());
+    }
+    Builder::Reg step{}, addr{};
+    if (varying) {
+        addr = b.globalIdX();
+        step = b.ldBuf(1, addr);
+    }
+    for (size_t k = 0; k < seeds.size(); ++k) {
+        if (varying) {
+            addr = b.iadd(addr, step);
+            push(b.ldBuf(1, addr), seeds[k]);
+            input.insert(input.end(), seeds[k].begin(), seeds[k].end());
+        } else if (k == 2) {
+            push(b.constI(s(seeds[k][0])), seeds[k]);
+        } else if (k == 3) {
+            push(b.constU(seeds[k][0]), seeds[k]);
+        } else {
+            push(b.constF(f(seeds[k][0])), seeds[k]);
         }
     }
 
-    // Store every register and compare against the oracle.
-    for (size_t i = 0; i < regs.size(); ++i)
-        b.stBuf(0, b.constI(static_cast<int32_t>(i)), regs[i]);
+    auto pick = [&]() -> size_t { return rng.nextBelow(regs.size()); };
+
+    for (int op = 0; op < 60; ++op) {
+        size_t ia = pick(), ib = pick(), ic = pick();
+        const uint64_t choice = rng.nextBelow(std::size(kOracleOps));
+        const OracleOp &o = kOracleOps[choice];
+        current_kind = static_cast<int>(choice);
+        std::vector<uint32_t> values(lanes);
+        bool keep = true;
+        for (uint32_t l = 0; l < lanes; ++l) {
+            values[l] = o.host(host[ia][l], host[ib][l], host[ic][l]);
+            // NaN payload bits may differ between the interpreter's and
+            // this file's translation units (inlined SSE vs libm code
+            // paths), and integer ops would then diverge on those bits
+            // — so an op that gives NaN in any lane is terminal:
+            // emitted but never consumed downstream.  fmin/fmax of
+            // (+0, -0) may return either zero (IEEE 754 allows both,
+            // and translation units lower the call differently), so
+            // their zero results are terminal too.
+            if (o.keep != Keep::Always && std::isnan(f(values[l])))
+                keep = false;
+            if (o.keep == Keep::UnlessNanOrZero && (values[l] << 1) == 0)
+                keep = false;
+        }
+        const Builder::Reg r = o.emit(b, regs[ia], regs[ib], regs[ic]);
+        if (keep)
+            push(r, std::move(values));
+    }
+
+    // Store every register: to word i in the constant form, to row i
+    // (word i * lanes + gid) in the lane-varying form.
+    Builder::Reg out = varying ? b.globalIdX() : Builder::Reg{};
+    for (size_t i = 0; i < regs.size(); ++i) {
+        if (!varying)
+            out = b.constI(static_cast<int32_t>(i));
+        else if (i > 0)
+            out = b.iadd(out, step);
+        b.stBuf(0, out, regs[i]);
+    }
     spirv::Module m = b.finish();
 
     const DeviceSpec &dev = gtx1050ti();
     std::string err;
     auto kernel = compileKernel(m, dev, Api::Vulkan, &err);
     ASSERT_NE(kernel, nullptr) << err;
+    if (varying)
+        ASSERT_EQ(kernel->micro->templateOps.size(), 0u) << "trial " << seed;
+    else
+        ASSERT_GT(kernel->micro->templateOps.size(), 0u) << "trial " << seed;
 
-    std::vector<uint32_t> buf(regs.size(), 0);
-    DispatchContext ctx;
-    ctx.kernel = kernel.get();
-    ctx.buffers.push_back({buf.data(), buf.size()});
-    ExecutionEngine engine(dev);
-    engine.dispatch(ctx);
+    const ExecTier auto_tier[] = {ExecTier::Count};
+    const ExecTier all_tiers[] = {ExecTier::Trace, ExecTier::Block,
+                                  ExecTier::LaneMajor,
+                                  ExecTier::Instrumented};
+    for (ExecTier tier : varying ? std::span<const ExecTier>(all_tiers)
+                                 : std::span<const ExecTier>(auto_tier)) {
+        std::vector<uint32_t> buf(regs.size() * lanes, 0);
+        DispatchContext ctx;
+        ctx.kernel = kernel.get();
+        ctx.buffers.push_back({buf.data(), buf.size()});
+        ctx.buffers.push_back({input.data(), input.size()});
+        setExecutorOverride(tier);
+        ExecutionEngine engine(dev);
+        engine.dispatch(ctx);
+        setExecutorOverride(ExecTier::Count);
 
-    for (size_t i = 0; i < regs.size(); ++i) {
-        // NaN payloads may legitimately differ between libm calls that
-        // both return NaN; everything else must match bit-exactly.
-        bool both_nan = std::isnan(f(buf[i])) && std::isnan(f(host[i]));
-        if (!both_nan) {
-            ASSERT_EQ(buf[i], host[i])
-                << "trial " << seed << " reg " << i << " kind "
-                << kinds[i];
+        for (size_t i = 0; i < regs.size(); ++i) {
+            for (uint32_t l = 0; l < lanes; ++l) {
+                // NaN payloads may legitimately differ between libm
+                // calls that both return NaN; everything else must
+                // match bit-exactly.
+                const uint32_t got = buf[i * lanes + l];
+                if (std::isnan(f(got)) && std::isnan(f(host[i][l])))
+                    continue;
+                ASSERT_EQ(got, host[i][l])
+                    << "trial " << seed << " reg " << i << " lane " << l
+                    << " kind " << kinds[i] << " tier "
+                    << execTierName(tier);
+            }
         }
     }
 }
@@ -207,7 +328,15 @@ TEST_P(InterpreterOracle, RandomProgramMatchesHostEvaluation)
 {
     // Each parameter seeds 8 random programs.
     for (int sub = 0; sub < 8; ++sub)
-        runTrial(static_cast<uint64_t>(GetParam()) * 8 + sub);
+        runTrial(static_cast<uint64_t>(GetParam()) * 8 + sub, false);
+}
+
+/** The lane-varying form: the same host oracle checks the executors'
+ *  copies of the op list, not only the template evaluator's. */
+TEST_P(InterpreterOracle, LaneVaryingProgramMatchesOnEveryTier)
+{
+    for (int sub = 0; sub < 8; ++sub)
+        runTrial(static_cast<uint64_t>(GetParam()) * 8 + sub, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpreterOracle,

@@ -5,14 +5,18 @@
  *  per-dispatch DispatchStats and simulated kernelNs against the
  *  auto-tier reference run — including the divergence-heavy workloads
  *  whose mid-phase branches exercise the block tier's
- *  bail-to-lane-major path.  Two hand-built kernels cover what no
- *  benchmark does: signed-overflow operands, and workgroups wider than
+ *  bail-to-lane-major path.  Three hand-built kernels cover what no
+ *  benchmark does: signed-overflow operands, float-to-int conversion of
+ *  NaN, infinities and out-of-range values, and workgroups wider than
  *  a lane block but not a multiple of it. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,8 +111,8 @@ TEST_P(TierEquivalence, SuperopsAreBitInvisible)
     expectSameReplay(ref, plain, w.name + " with superops disabled");
 
     // Superops with the lane-major executor forced: the scalar
-    // per-lane Super/SuperLoop handlers must agree with the plain
-    // stream too (the vector handlers are covered above).
+    // per-lane SuperLoop handler must agree with the plain stream too
+    // (the span-wide one is covered above).
     sim::setCompileLowerOptions({});
     sim::setExecutorOverride(sim::ExecTier::LaneMajor);
     Replay lane = replay(w, dev, sim::Api::Vulkan);
@@ -294,6 +298,67 @@ TEST(SignedOverflow, WrapsOnEveryTier)
                 << (fused ? "fused" : "unfused") << " lowering, tier "
                 << sim::execTierName(tier);
         }
+    }
+}
+
+/** Converting NaN, an infinity or a float outside [-2^31, 2^31) to a
+ *  signed integer is undefined in C++, and SPIR-V leaves it undefined
+ *  too.  The simulator defines CvtFS of all of them as INT_MIN on every
+ *  tier, for lane-varying operands (loaded per lane, run by the
+ *  executors) and for constants (hoisted into the register template),
+ *  and truncates everything in range toward zero. */
+TEST(FloatToInt, OutOfRangeGivesIntMinOnEveryTier)
+{
+    constexpr uint32_t kMin = 0x80000000u;
+    const float in[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(),
+                        3e9f, -3e9f, 0x1p31f, -0x1p31f, 1.5f, -1.5f,
+                        2147483520.0f};
+    const uint32_t want[] = {kMin, kMin, kMin, kMin, kMin, kMin, kMin,
+                             1u, uint32_t(-1), 2147483520u};
+    constexpr uint32_t kLanes = std::size(in);
+    constexpr uint32_t kGroups = 8;
+    static_assert(kGroups > kSampledWorkgroups);
+    constexpr uint32_t kN = kLanes * kGroups;
+
+    // Row 0 of the output converts in[lane] per lane; row 1 + i
+    // converts the constant in[i] in every lane.
+    Builder b("cvt_fs", kLanes);
+    b.bindStorage(0, ElemType::F32, true);
+    b.bindStorage(1, ElemType::I32);
+    auto gid = b.globalIdX();
+    b.stBuf(1, gid, b.cvtFS(b.ldBuf(0, gid)));
+    for (uint32_t i = 0; i < kLanes; ++i)
+        b.stBuf(1, b.iadd(gid, b.constI(static_cast<int32_t>(kN * (i + 1)))),
+                b.cvtFS(b.constF(in[i])));
+    const spirv::Module m = b.finish();
+
+    std::vector<uint32_t> in_bits(kN), expect((kLanes + 1) * kN);
+    for (uint32_t l = 0; l < kN; ++l) {
+        in_bits[l] = std::bit_cast<uint32_t>(in[l % kLanes]);
+        expect[l] = want[l % kLanes];
+        for (uint32_t i = 0; i < kLanes; ++i)
+            expect[kN * (i + 1) + l] = want[i];
+    }
+
+    std::string err;
+    auto k = sim::compileKernel(m, sim::gtx1050ti(), sim::Api::Vulkan, &err);
+    ASSERT_NE(k, nullptr) << err;
+    auto count = [](const std::vector<sim::MicroOp> &ops) {
+        return std::count_if(ops.begin(), ops.end(), [](const auto &o) {
+            return o.op == sim::MOp::CvtFS;
+        });
+    };
+    EXPECT_EQ(count(k->micro->ops), 1);
+    EXPECT_EQ(count(k->micro->templateOps), kLanes);
+
+    KnobGuard guard;
+    for (sim::ExecTier tier : kAllTiers) {
+        sim::setExecutorOverride(tier);
+        Outcome o = dispatchOnce(
+            m, {in_bits, std::vector<uint32_t>(expect.size(), 0)}, kGroups);
+        EXPECT_EQ(o.bufs[1], expect) << "tier " << sim::execTierName(tier);
     }
 }
 

@@ -95,7 +95,7 @@ main(int argc, char **argv)
     }
 
     // Micro-op lowering (API-independent): the stream the interpreter
-    // executes, with fused pairs, superops and hoisted template ops
+    // executes, with fused pairs, SuperLoops and hoisted template ops
     // rendered symbolically.
     if (lowered) {
         std::printf("\n; micro-op lowering (executor tier: %s):\n",
