@@ -730,11 +730,12 @@ Interpreter::execSuper(const SuperOp &sup, uint32_t pc,
     // every still-active lane executes the body before any lane
     // advances — the lane-contiguous memory order of the op-major
     // executor, which is what keeps strided per-lane walks (kmeans
-    // reads column gid of a 64K-point matrix) cache-friendly.  The bodies only load from global/shared
-    // memory, so the order difference from the lane-major reference
-    // is unobservable; a lane whose condition fails stops updating
-    // its own registers, so exited lanes stay exited.  The caller
-    // performs the exit transfer.
+    // reads column gid of a 64K-point matrix) cache-friendly.  The
+    // bodies only load from global/shared memory, so the order
+    // difference from the lane-major reference is unobservable; a lane
+    // whose condition fails stops updating its own registers, so
+    // exited lanes stay exited.  The caller performs the exit
+    // transfer.
     switch (sup.kind) {
       case SuperKind::SqDistStep: {
         const BufferBinding &b0 = bufs[sup.buf[0]];

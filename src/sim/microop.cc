@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iterator>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.h"
 #include "sim/kernel.h"
@@ -63,8 +64,8 @@ isCmpBr(MOp op)
 /** The branch-target field of Jmp, BrTrue/BrFalse and CmpBr*, or null
  *  for every other op (a SuperLoop's exit pc lives in its SuperOp).
  *  Every scan and remap of branch targets goes through here. */
-uint32_t *
-branchTarget(MicroOp &op)
+const uint32_t *
+branchTarget(const MicroOp &op)
 {
     switch (op.op) {
       case MOp::Jmp: return &op.a;
@@ -74,12 +75,18 @@ branchTarget(MicroOp &op)
     }
 }
 
+uint32_t *
+branchTarget(MicroOp &op)
+{
+    return const_cast<uint32_t *>(branchTarget(std::as_const(op)));
+}
+
 /** is_target[pc]: does some branch of `ops` land on pc? */
 std::vector<uint8_t>
-branchTargets(std::vector<MicroOp> &ops)
+branchTargets(const std::vector<MicroOp> &ops)
 {
     std::vector<uint8_t> is_target(ops.size(), 0);
-    for (MicroOp &op : ops)
+    for (const MicroOp &op : ops)
         if (const uint32_t *t = branchTarget(op))
             is_target[*t] = 1;
     return is_target;
@@ -947,7 +954,7 @@ lowerKernel(CompiledKernel &k, const LowerOptions &opt)
     mk.costFrom[0] += mk.hoistedCost;
 
     // Tier-policy metadata.
-    for (MicroOp &op : mk.ops) {
+    for (const MicroOp &op : mk.ops) {
         mk.hasBranches |= branchTarget(op) != nullptr;
         mk.hasAtomics |= op.op == MOp::AtomIAdd || op.op == MOp::AtomIOr ||
                          op.op == MOp::AtomIMin || op.op == MOp::AtomIMax;

@@ -59,7 +59,8 @@ enum class Keep
 };
 
 /** One random-program op: the builder call and the host oracle, on
- *  operand registers / words a, c, d. */
+ *  operand registers / words a, c, d.  kOracleOps holds one per pure
+ *  op of the interpreter's op list. */
 struct OracleOp
 {
     Builder::Reg (*emit)(Builder &, Builder::Reg, Builder::Reg,
@@ -172,7 +173,67 @@ const OracleOp kOracleOps[] = {
          return f(a) == f(c) ? 1u : 0u;
      },
      Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ior(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a | c; }, Keep::Always},
+    {[](Builder &b, R a, R, R) { return b.fexp(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::exp(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R, R) { return b.flog(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::log(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R, R) { return b.fsin(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::sin(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R, R) { return b.fcos(a); },
+     [](uint32_t a, uint32_t, uint32_t) { return u(std::cos(f(a))); },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.fpow(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return u(std::pow(f(a), f(c)));
+     },
+     Keep::UnlessNan},
+    {[](Builder &b, R a, R c, R) { return b.ieq(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a == c ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ine(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a != c ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ile(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return s(a) <= s(c) ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.igt(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return s(a) > s(c) ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.ige(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return s(a) >= s(c) ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.uge(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return a >= c ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.fne(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return f(a) != f(c) ? 1u : 0u;
+     },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.fle(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return f(a) <= f(c) ? 1u : 0u;
+     },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.fgt(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) { return f(a) > f(c) ? 1u : 0u; },
+     Keep::Always},
+    {[](Builder &b, R a, R c, R) { return b.fge(a, c); },
+     [](uint32_t a, uint32_t c, uint32_t) {
+         return f(a) >= f(c) ? 1u : 0u;
+     },
+     Keep::Always},
 };
+#define VCB_COUNT_OP(name, expr) +1
+static_assert(std::size(kOracleOps) ==
+                  0 VCB_PURE_OPS(VCB_COUNT_OP, VCB_COUNT_OP, VCB_COUNT_OP),
+              "one oracle op per pure op of microop.h's op list");
+#undef VCB_COUNT_OP
 
 /**
  * One random program: builder ops mirrored by host evaluation.  The
@@ -208,14 +269,14 @@ runTrial(uint64_t seed, bool varying)
     // k + 1 of its input at gid + (k + 1) * lanes, stepping by a
     // loaded row 0 (= lanes) instead of a constant, so that no seed
     // address is dispatch-uniform.
-    std::vector<uint32_t> input(lanes); // row 0
-    std::vector<std::vector<uint32_t>> seeds(4, std::vector<uint32_t>(lanes));
+    std::vector<uint32_t> input(lanes, lanes); // row 0
+    std::vector<std::vector<uint32_t>> seeds(4,
+                                             std::vector<uint32_t>(lanes));
     for (uint32_t l = 0; l < lanes; ++l) {
-        input[l] = lanes;
         seeds[0][l] = u(rng.nextFloat(-100.0f, 100.0f));
         seeds[1][l] = u(rng.nextFloat(0.001f, 8.0f));
-        seeds[2][l] =
-            static_cast<uint32_t>(static_cast<int32_t>(rng.nextRange(-1000, 1000)));
+        seeds[2][l] = static_cast<uint32_t>(
+            static_cast<int32_t>(rng.nextRange(-1000, 1000)));
         seeds[3][l] = static_cast<uint32_t>(rng.next());
     }
     Builder::Reg step{}, addr{};
